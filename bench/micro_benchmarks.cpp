@@ -188,42 +188,10 @@ BENCHMARK(BM_EnsembleLaunchXsbench)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
-/// The same launch through the windowed speculate-then-commit engine
-/// (--launch-threads 4). The CI gate for this series is host-aware: on a
-/// multi-core runner it demands overlap wins at 16-32 instances; on a
-/// single-core runner SpecTeam spawns no workers and the gate only
-/// requires the windowed engine to stay within tolerance of the serial
-/// series (the degradation contract).
-void BM_EnsembleLaunchXsbenchThreaded(benchmark::State& state) {
-  apps::RegisterAllApps();
-  const int instances = int(state.range(0));
-  for (auto _ : state) {
-    sim::Device device(sim::DeviceSpec::TestDevice());
-    dgcf::RpcHost rpc(device);
-    dgcf::DeviceLibc libc(device);
-    dgcf::AppEnv env{&device, &rpc, &libc};
-    ensemble::EnsembleOptions opt;
-    opt.app = "xsbench";
-    for (int i = 0; i < instances; ++i) {
-      opt.instance_args.push_back({"-i", "12", "-g", "128", "-l", "512", "-s",
-                                   StrFormat("%d", i + 1)});
-    }
-    opt.thread_limit = 32;
-    opt.launch_threads = 4;
-    auto run = ensemble::RunEnsemble(env, opt);
-    benchmark::DoNotOptimize(run->kernel_cycles);
-  }
-  state.SetItemsProcessed(std::int64_t(state.iterations()) * instances);
-}
-BENCHMARK(BM_EnsembleLaunchXsbenchThreaded)
-    ->Arg(16)
-    ->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-
 /// Multi-warp speed gate: AMGmk ensembles at fig6b scale-down. With
 /// thread_limit 64 every block holds two warps, so this series exercises
-/// the paths the xsbench gate cannot: intra-block barriers, shared-memory
-/// conflict modelling, and the earliest-block-event speculation rule.
+/// the paths the xsbench gate cannot: intra-block barriers and
+/// shared-memory conflict modelling.
 void BM_EnsembleLaunchAmgmk(benchmark::State& state) {
   apps::RegisterAllApps();
   const int instances = int(state.range(0));
@@ -247,37 +215,6 @@ void BM_EnsembleLaunchAmgmk(benchmark::State& state) {
 BENCHMARK(BM_EnsembleLaunchAmgmk)
     ->Arg(4)
     ->Arg(8)
-    ->Arg(16)
-    ->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-
-/// The multi-warp launch through the windowed speculate-then-commit
-/// engine. Before the earliest-block-event rule this configuration fell
-/// back to the serial engine, so this series is the regression gate for
-/// the multi-warp speculation ceiling; the CI ratio contract is the same
-/// host-aware one as the xsbench threaded series.
-void BM_EnsembleLaunchAmgmkThreaded(benchmark::State& state) {
-  apps::RegisterAllApps();
-  const int instances = int(state.range(0));
-  for (auto _ : state) {
-    sim::Device device(sim::DeviceSpec::TestDevice());
-    dgcf::RpcHost rpc(device);
-    dgcf::DeviceLibc libc(device);
-    dgcf::AppEnv env{&device, &rpc, &libc};
-    ensemble::EnsembleOptions opt;
-    opt.app = "amgmk";
-    for (int i = 0; i < instances; ++i) {
-      opt.instance_args.push_back({"-x", "8", "-y", "8", "-z", "8", "-w", "2",
-                                   "-s", StrFormat("%d", i + 1)});
-    }
-    opt.thread_limit = 64;
-    opt.launch_threads = 4;
-    auto run = ensemble::RunEnsemble(env, opt);
-    benchmark::DoNotOptimize(run->kernel_cycles);
-  }
-  state.SetItemsProcessed(std::int64_t(state.iterations()) * instances);
-}
-BENCHMARK(BM_EnsembleLaunchAmgmkThreaded)
     ->Arg(16)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);

@@ -8,10 +8,6 @@ namespace dgc::dgcf {
 sim::DeviceTask<sim::DeviceBuffer> DeviceLibc::Malloc(sim::ThreadCtx& ctx,
                                                       std::uint64_t bytes) {
   co_await ctx.Work(kHeapOpCycles);
-  // Heap mutation (and fault-plan consumption) below touches launch-global
-  // state: order it at this lane's commit slot so threaded launches
-  // allocate in exactly the serial order (addresses feed coalescing).
-  co_await ctx.HostFence();
   if (faults_ != nullptr && faults_->NextMallocFails()) {
     ++failed_;
     DGC_LOG(kInfo) << "device malloc(" << bytes << ") failed: injected";
@@ -47,12 +43,7 @@ sim::DeviceTask<DeviceLibc::SharedGroup> DeviceLibc::AcquireSharedGroup(
   // not suspend, so attach-vs-materialize is decided atomically per group.
   std::uint64_t heap_ops = 0;
   for (const std::uint64_t bytes : sizes) heap_ops += bytes != 0 ? 1 : 0;
-  if (heap_ops != 0) {
-    co_await ctx.Work(kHeapOpCycles * heap_ops);
-    // Segment acquisition mutates the device-wide shared-segment registry
-    // and heap; commit-order it like Malloc.
-    co_await ctx.HostFence();
-  }
+  if (heap_ops != 0) co_await ctx.Work(kHeapOpCycles * heap_ops);
 
   SharedGroup group;
   group.buffers.resize(sizes.size());
@@ -113,7 +104,6 @@ sim::DeviceTask<void> DeviceLibc::Free(sim::ThreadCtx& ctx,
   // free(NULL) is a no-op and must not pay the heap-lock cost.
   if (addr == 0) co_return;
   co_await ctx.Work(kHeapOpCycles);
-  co_await ctx.HostFence();  // heap mutation: commit order, like Malloc
   const Status s = device_.Free(addr);
   if (s.ok()) {
     --live_;

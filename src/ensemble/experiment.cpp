@@ -54,8 +54,6 @@ Status RunPoint(const ExperimentConfig& config, std::uint32_t n,
   options.max_attempts = config.max_attempts;
   options.retry_shrink = config.retry_shrink;
   options.share_data = config.share_data;
-  options.launch_threads = config.launch_threads;
-  options.launch_window_cycles = config.launch_window_cycles;
 
   // Profiling is point-local (like the device): the profiler only observes
   // this simulation, so sidecars cannot depend on job scheduling.

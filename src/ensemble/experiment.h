@@ -52,14 +52,6 @@ struct ExperimentConfig {
   /// harness binaries (fig6a/fig6b) keep the duplicated per-instance
   /// layout byte-for-byte.
   bool share_data = false;
-  /// Host threads simulating each launch wave of each point
-  /// (EnsembleOptions::launch_threads). Deterministic: sidecars and tables
-  /// stay byte-identical for every value, and it composes with
-  /// SweepOptions::jobs — point workers fan out launch shards through a
-  /// nesting-safe pool.
-  unsigned launch_threads = 1;
-  /// Speculation window override in cycles (0 = engine default).
-  std::uint64_t launch_window_cycles = 0;
 };
 
 /// Progress of one sweep point, reported as it starts and finishes so long

@@ -145,8 +145,6 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
     cfg.faults = options.faults;
     cfg.profiler = options.profiler;
     cfg.watchdog_cycles = launch_watchdog;
-    cfg.launch_threads = options.launch_threads;
-    cfg.launch_window_cycles = options.launch_window_cycles;
     const std::uint32_t m = options.teams_per_block;
     const std::uint32_t team_size = options.thread_limit;
     cfg.instance_of = [&current, wave_teams, m,
@@ -313,8 +311,6 @@ StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
   std::string inject;
   std::int64_t watchdog = 0, instance_watchdog = 0;
   std::int64_t retry = 1, retry_shrink = 2;
-  std::int64_t launch_threads = 1;
-  std::int64_t launch_window = 0;
   std::string share_data = "on";
   ArgParser parser("GPU ensemble loader (paper Fig. 5c)");
   parser.AddString("file", 'f', "command line arguments file", &file,
@@ -339,15 +335,7 @@ StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
       .AddString("share-data", 0,
                  "share read-only input data across identical instances "
                  "(on|off, default on)",
-                 &share_data)
-      .AddInt("launch-threads", 0,
-              "host threads simulating each launch (deterministic; 1 = "
-              "serial)",
-              &launch_threads)
-      .AddInt("launch-window", 0,
-              "speculation window in cycles for the threaded engine "
-              "(0 = engine default; any value is byte-identical)",
-              &launch_window);
+                 &share_data);
   DGC_RETURN_IF_ERROR(parser.Parse(argv));
   if (share_data != "on" && share_data != "off") {
     return Status(ErrorCode::kInvalidArgument,
@@ -362,14 +350,6 @@ StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
     return Status(ErrorCode::kInvalidArgument,
                   "--watchdog/--instance-watchdog must be >= 0 and "
                   "--retry must be positive");
-  }
-  if (launch_threads <= 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "--launch-threads must be positive");
-  }
-  if (launch_window < 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "--launch-window must be >= 0 (0 = engine default)");
   }
 
   EnsembleOptions options;
@@ -386,8 +366,6 @@ StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
   options.max_attempts = std::uint32_t(retry);
   options.retry_shrink = std::uint32_t(retry_shrink);
   options.share_data = share_data == "on";
-  options.launch_threads = unsigned(launch_threads);
-  options.launch_window_cycles = std::uint64_t(launch_window);
 
   // Validate (and build) the fault plan before touching the argument file:
   // a bad --inject spec is a usage error and must fail before any work. A

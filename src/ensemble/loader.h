@@ -82,16 +82,6 @@ struct EnsembleOptions {
   /// map one physical copy (flagged read-only to the §3.3 race detector).
   /// Off by default — the duplicated layout is the paper's baseline.
   bool share_data = false;
-  /// Host threads simulating each launch wave (`--launch-threads`).
-  /// 1 (default) = serial engine; N > 1 shards SMs across N host threads
-  /// with a deterministic event-merge barrier — results are byte-identical
-  /// for every value. Falls back to 1 per launch when a fault plan is
-  /// active or blocks carry more than one warp (see
-  /// sim::LaunchConfig::launch_threads).
-  unsigned launch_threads = 1;
-  /// Speculation window override in cycles (0 = engine default). Output is
-  /// identical for any value; exposed for tests and tuning.
-  std::uint64_t launch_window_cycles = 0;
 };
 
 /// Runs the ensemble. Instance I's exit code lands in result.instances[I].

@@ -80,17 +80,6 @@ class Block {
   /// per-team control state. Owned by the block.
   std::shared_ptr<void> user_state;
 
-  /// Round marker for the threaded launch engine's speculation walker.
-  /// All warps of a block live on one SM and therefore in one shard, so
-  /// exactly one shard thread reads/writes this per round: the walker
-  /// stamps a block at its earliest pending event and skips any later
-  /// same-block events that round, which is what makes speculating a
-  /// warp of a multi-warp block safe (no sibling activity — barrier
-  /// release, shared-memory allocation, watchdog arming — can commit
-  /// between the round snapshot and the adoption of the block's earliest
-  /// event). See LaunchContext::DrainEventsThreaded.
-  std::uint64_t spec_round_stamp = 0;
-
  private:
   LaunchContext* lc_;
   std::uint32_t id_;

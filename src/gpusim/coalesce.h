@@ -49,10 +49,11 @@ void CoalesceSectorsScalar(std::span<const LaneAccess> accesses,
 bool SetCoalesceFastPath(bool enabled);
 bool CoalesceFastPathEnabled();
 
-/// The minimum number of sectors any permutation of these accesses could
-/// produce (= ceil(total distinct bytes / sector size) is a lower bound; we
-/// report the tight bound assuming perfect packing). Used by stats to
-/// report a coalescing-efficiency ratio.
+/// ceil(total requested bytes / sector size): the sectors the accesses
+/// would need if packed perfectly with no sharing. Duplicate addresses
+/// count once per lane, so this can exceed the coalesced sector count
+/// (see LaunchStats::ideal_sectors). Used by stats to report a
+/// coalescing-efficiency ratio.
 std::uint64_t IdealSectorCount(std::span<const LaneAccess> accesses,
                                std::uint32_t sector_bytes);
 

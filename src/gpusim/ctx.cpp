@@ -34,11 +34,7 @@ detail::SyncAwaiter ThreadCtx::SyncThreads() const {
 }
 
 std::uint64_t ThreadCtx::Now() const {
-  // The lane's resume clock, not the engine clock: they agree whenever the
-  // lane runs on the commit thread (the engine dispatches the turn at
-  // exactly this time), and only the former is correct while the lane is
-  // being resumed speculatively ahead of the commit frontier.
-  return lane->resume_now;
+  return block->launch_context()->engine.now();
 }
 
 void ThreadCtx::ArmRowWatchdog(std::uint64_t cycles) const {

@@ -178,18 +178,6 @@ struct ScatterAwaiter {
   void await_resume() const { RaisePendingTrap(); }
 };
 
-/// Suspends at a zero-cost ordering point — see ThreadCtx::HostFence.
-struct HostFenceAwaiter {
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    Lane* lane = CurrentLane();
-    lane->pending = DeviceOp{};
-    lane->pending.kind = DeviceOp::Kind::kHostFence;
-    lane->top = h;
-  }
-  void await_resume() const { RaisePendingTrap(); }
-};
-
 struct ExternalAwaiter {
   std::function<std::uint64_t()>* fn;  ///< caller-owned; see HostCall docs
   std::uint64_t latency;
@@ -215,7 +203,6 @@ struct ExternalAwaiter {
 // point are miscompiled by some compilers (observed with GCC 12), so the
 // device API never hands out one. Non-trivial state (e.g. an RPC handler)
 // lives in a named coroutine local owned by the caller.
-static_assert(std::is_trivially_destructible_v<HostFenceAwaiter>);
 static_assert(std::is_trivially_destructible_v<WorkAwaiter>);
 static_assert(std::is_trivially_destructible_v<SyncAwaiter>);
 static_assert(std::is_trivially_destructible_v<ExternalAwaiter>);
@@ -347,25 +334,6 @@ struct ThreadCtx {
   /// this per instance so a hung instance is killed without bounding its
   /// well-behaved siblings.
   void ArmRowWatchdog(std::uint64_t cycles) const;
-
-  /// Zero-cost commit-order fence for host-visible side effects. Device
-  /// runtime code that mutates launch-global host state from inside a
-  /// coroutine (the libc heap walking DeviceMemory, shared-segment
-  /// acquisition) must put the mutation *after* a HostFence:
-  ///
-  ///   co_await ctx.HostFence();
-  ///   device.Malloc(bytes);   // now runs on the commit thread, in order
-  ///
-  /// Executing inline (launch_threads == 1, or any lane the threaded
-  /// engine resumes on the commit thread), the warp re-resumes the lane
-  /// immediately — the fence is invisible: no cycles, no counters, same
-  /// side-effect order as code without it. Under speculative resume the
-  /// lane parks at the fence and the commit turn finishes it at the exact
-  /// event-order slot the serial engine would have, which is what keeps
-  /// `--launch-threads N` byte-identical to N = 1.
-  detail::HostFenceAwaiter HostFence() const {
-    return detail::HostFenceAwaiter{};
-  }
 
   /// Barrier over an explicit lane set (sub-team synchronization).
   detail::SyncAwaiter SyncOn(Barrier* barrier) const {

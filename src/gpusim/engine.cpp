@@ -13,9 +13,9 @@ void Engine::Schedule(std::uint64_t t, Warp* warp) {
   // always re-derives the warp's next wake from lane state before
   // returning (including on turns that had nothing to resume or issue), so
   // the earlier dispatch regenerates any later wake that is still needed.
-  // This is what makes multi-source wakes single-shot: a warp woken in the
-  // same window by, say, a memsys completion and a barrier release turns
-  // exactly once — the old exact-match rule let a later wake slip past an
+  // This is what makes multi-source wakes single-shot: a warp woken by,
+  // say, a memsys completion and a barrier release before its next turn
+  // turns exactly once — the old exact-match rule let a later wake slip past an
   // earlier queued one and dispatch a redundant turn.
   // queued_wake_ is therefore the minimum undispatched queued time (marks
   // only decrease between dispatches) and is cleared when that earliest
@@ -33,20 +33,9 @@ bool Engine::RunOne() {
   heap_.pop_back();
   now_ = ev.t;
   ++dispatched_;
-  dispatching_seq_ = ev.seq;
   if (ev.warp->queued_wake() == ev.t) ev.warp->clear_queued_wake();
   ev.warp->Turn(ev.t);
   return true;
-}
-
-void Engine::CollectPending(std::uint64_t bound,
-                            std::vector<Event>& out) const {
-  for (const Event& ev : heap_) {
-    if (ev.t < bound) out.push_back(ev);
-  }
-  std::sort(out.begin(), out.end(), [](const Event& a, const Event& b) {
-    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-  });
 }
 
 }  // namespace dgc::sim

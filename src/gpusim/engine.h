@@ -15,14 +15,6 @@ class Warp;
 
 class Engine {
  public:
-  /// One queued warp wake-up. Public so the threaded launch loop can
-  /// snapshot a cycle window of upcoming events (CollectPending).
-  struct Event {
-    std::uint64_t t;
-    std::uint64_t seq;
-    Warp* warp;
-  };
-
   /// Schedules a warp turn no earlier than the current time.
   void Schedule(std::uint64_t t, Warp* warp);
 
@@ -38,20 +30,17 @@ class Engine {
     return heap_.empty() ? kNoEvent : heap_.front().t;
   }
 
-  /// Appends a copy of every queued event with t < `bound` to `out`, in
-  /// dispatch order (t, then insertion seq). The queue itself is untouched:
-  /// the copies are a read-only preview for speculative execution, and the
-  /// originals still dispatch through RunOne in exactly this order.
-  void CollectPending(std::uint64_t bound, std::vector<Event>& out) const;
-
   std::uint64_t now() const { return now_; }
   std::size_t pending_events() const { return heap_.size(); }
   std::uint64_t events_dispatched() const { return dispatched_; }
-  /// Insertion seq of the event currently being dispatched by RunOne.
-  /// Valid only inside Warp::Turn; used to match speculation to its event.
-  std::uint64_t dispatching_seq() const { return dispatching_seq_; }
 
  private:
+  struct Event {
+    std::uint64_t t;
+    std::uint64_t seq;
+    Warp* warp;
+  };
+
   /// Heap comparator: a "later-than" predicate, so the front of the
   /// std::push_heap/pop_heap max-heap is the *earliest* event.
   static bool Later(const Event& a, const Event& b) {
@@ -62,7 +51,6 @@ class Engine {
   std::uint64_t now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t dispatched_ = 0;
-  std::uint64_t dispatching_seq_ = 0;
 };
 
 }  // namespace dgc::sim

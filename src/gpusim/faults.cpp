@@ -65,17 +65,6 @@ FaultPlan::TrapSite* FaultPlan::MatchTrap(std::uint32_t block,
   return nullptr;
 }
 
-bool FaultPlan::HasPendingTrap(std::uint32_t block, std::uint32_t warp,
-                               std::uint64_t now) const {
-  for (const TrapSite& site : traps) {
-    if (!site.fired && site.block == block && site.warp == warp &&
-        site.cycle <= now) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::uint64_t FaultPlan::WorkScale(std::uint32_t block) const {
   for (const Slowdown& s : slowdowns) {
     if (s.block == block) return s.factor == 0 ? 1 : s.factor;

@@ -112,16 +112,6 @@ struct FaultPlan {
   /// marks it fired. Null when none.
   TrapSite* MatchTrap(std::uint32_t block, std::uint32_t warp,
                       std::uint64_t now);
-  /// True when MatchTrap(block, warp, now) would fire — without consuming
-  /// anything. Const and therefore safe to call from shard threads: the
-  /// threaded launch engine uses it to keep a warp's turn out of
-  /// speculation exactly when that turn would arm an injected trap, so
-  /// plan state is only ever consumed on the commit thread in serial
-  /// order. Sites are static after parsing and a site's `fired` flag is
-  /// only flipped by its own warp's committed turns, so the answer cannot
-  /// change between the speculation check and the commit.
-  bool HasPendingTrap(std::uint32_t block, std::uint32_t warp,
-                      std::uint64_t now) const;
   /// Compute-cycle multiplier for `block` (1 when unaffected).
   std::uint64_t WorkScale(std::uint32_t block) const;
 

@@ -51,22 +51,6 @@ struct LaunchConfig {
   /// utilization timeline is sampled. Non-owning; one profiler may observe
   /// several sequential launches (retry waves).
   Profiler* profiler = nullptr;
-  /// Host threads simulating this one launch. 1 (default) is the fully
-  /// serial engine; N > 1 shards SMs across N threads that speculatively
-  /// run the resume half of upcoming turns inside a bounded cycle window,
-  /// while a single commit thread replays every event in exact serial
-  /// order — stats, metrics JSON, and traces are byte-identical for every
-  /// value. Clamped to the SM count. Multi-warp blocks speculate too (one
-  /// in-flight turn per block per round — the walker's earliest-block-event
-  /// rule); with a fault plan installed only turns with a pending trap
-  /// site serialize (see launch_context.cpp / Warp::CanSpeculate).
-  unsigned launch_threads = 1;
-  /// Cycle-window length for the threaded engine (how far ahead of the
-  /// commit frontier speculation may run). 0 picks the default (2048).
-  /// Ignored when the launch executes serially. Any value yields identical
-  /// output; this only trades merge-barrier frequency against speculation
-  /// depth.
-  std::uint64_t launch_window_cycles = 0;
 };
 
 }  // namespace dgc::sim

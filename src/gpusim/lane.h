@@ -61,12 +61,6 @@ struct DeviceOp {
     kWork,      ///< pure compute for `cycles`
     kSync,      ///< barrier arrival
     kExternal,  ///< host callback (RPC); pays `cycles` per call
-    /// Zero-cost ordering point (ThreadCtx::HostFence): the continuation
-    /// mutates launch-global host state, so it must run on the commit
-    /// thread in event order. The warp re-resumes the lane immediately when
-    /// executing inline, and parks it here when resuming speculatively —
-    /// this op never reaches an issue group and charges nothing.
-    kHostFence,
   };
 
   Kind kind = Kind::kNone;
@@ -114,13 +108,6 @@ class Lane {
   /// Result of the most recently issued op (read by the awaiter on resume;
   /// survives the warp clearing `pending`).
   std::uint64_t pending_result = 0;
-  /// Event time of the resume currently executing (or most recently
-  /// executed) on this lane. ThreadCtx::Now() reads this instead of the
-  /// engine clock: during a speculative resume the engine is still
-  /// committing earlier events, so the engine's `now` is not this lane's
-  /// `now`. The warp sets it before every Resume(); inline resumes see the
-  /// same value the engine clock would have given.
-  std::uint64_t resume_now = 0;
   std::coroutine_handle<> top;  ///< innermost resumable coroutine
   Warp* warp = nullptr;
   Block* block = nullptr;

@@ -1,21 +1,13 @@
 #include "gpusim/launch_context.h"
 
-#include <algorithm>
-
 #include "gpusim/block.h"
 #include "gpusim/profiler.h"
-#include "gpusim/spec_team.h"
-#include "gpusim/warp.h"
 #include "support/str.h"
 
 namespace dgc::sim {
 
 namespace {
 constexpr std::uint64_t kMaxRecordedFailures = 16;
-/// Default speculation window (cycles). Large enough that a window spans
-/// many turns per warp (one speculated each), small enough that shards
-/// re-merge before their views of global time drift apart.
-constexpr std::uint64_t kDefaultLaunchWindowCycles = 2048;
 }
 
 LaunchContext::LaunchContext(const DeviceSpec& spec_in, MemorySystem& memsys_in,
@@ -35,12 +27,7 @@ Status LaunchContext::Run() {
   Profiler* profiler = config.profiler;
   if (profiler != nullptr) profiler->OnLaunchBegin(spec);
   TrySchedule(0);
-  const unsigned threads = EffectiveLaunchThreads();
-  if (threads <= 1) {
-    DrainEvents();
-  } else {
-    DrainEventsThreaded(threads);
-  }
+  DrainEvents();
   if (done_blocks_ != total_blocks_) {
     outcome = LaunchOutcome::kDeadlocked;
     ++failure_count;
@@ -66,17 +53,6 @@ Status LaunchContext::Run() {
   return Status::Ok();
 }
 
-unsigned LaunchContext::EffectiveLaunchThreads() const {
-  unsigned threads = config.launch_threads;
-  // Shards partition SMs, so more threads than SMs cannot help. Multi-warp
-  // blocks and fault plans no longer force a serial fallback: the walker's
-  // earliest-block-event rule makes multi-warp speculation safe, and fault
-  // plans serialize only the turns with a pending trap site
-  // (Warp::CanSpeculate is trap-site-aware).
-  threads = std::min(threads, unsigned(spec.num_sms));
-  return std::max(threads, 1u);
-}
-
 void LaunchContext::DrainEvents() {
   Profiler* profiler = config.profiler;
   while (true) {
@@ -89,108 +65,6 @@ void LaunchContext::DrainEvents() {
                           instance_buckets_);
     }
     engine.RunOne();
-  }
-}
-
-void LaunchContext::DrainEventsThreaded(unsigned threads) {
-  Profiler* profiler = config.profiler;
-  const std::uint64_t window_cycles = config.launch_window_cycles != 0
-                                          ? config.launch_window_cycles
-                                          : kDefaultLaunchWindowCycles;
-  std::vector<Engine::Event> window;
-  std::vector<std::vector<Engine::Event>> shards(threads);
-  std::vector<std::uint64_t> shard_specs(threads);
-  // Shard-local commit: each worker charges its speculated turns'
-  // partition-derived counters into its own bucket, written only inside
-  // team.Run() (a full barrier), so there is never concurrent access. The
-  // buckets are folded into the launch totals once, in shard order, after
-  // the drain — every counter is a sum, so the fold order does not affect
-  // the result, and the serial totals are reproduced exactly. Disabled
-  // under a profiler: per-instance attribution needs each bump in its
-  // instance bucket, which only the commit turn can select.
-  std::vector<LaunchStats> shard_stats(profiler == nullptr ? threads : 0);
-  std::uint64_t round_stamp = 0;
-  // The per-round fan-out: shard s's worker walks its (t, seq)-sorted
-  // events and speculatively resumes each *block's* earliest one (the
-  // per-block stamp dedups later same-block events — with sibling warps a
-  // later event's state could otherwise be mutated by the earlier commit).
-  // No engine, memsys, launch-global stats, or profiler state is touched
-  // here — those stay commit-thread-only. The team's workers persist
-  // across rounds and windows, parked on an atomic generation counter:
-  // rounds are microseconds of work, so handing them to a mutex/condvar
-  // pool would cost more than it distributes (see spec_team.h).
-  SpecTeam team(threads - 1, threads, [&](unsigned s) {
-    std::uint64_t specs = 0;
-    LaunchStats* bucket = shard_stats.empty() ? nullptr : &shard_stats[s];
-    for (const Engine::Event& ev : shards[s]) {
-      Block* block = ev.warp->block();
-      if (block->spec_round_stamp == round_stamp) continue;
-      block->spec_round_stamp = round_stamp;
-      if (!ev.warp->CanSpeculate(ev.t)) continue;
-      ev.warp->SpeculativeResume(ev.t, ev.seq, bucket);
-      ++specs;
-    }
-    shard_specs[s] = specs;
-  });
-  while (true) {
-    const std::uint64_t t0 = engine.next_event_time();
-    if (t0 == Engine::kNoEvent) break;
-    const std::uint64_t t_end = t0 < Engine::kNoEvent - window_cycles
-                                    ? t0 + window_cycles
-                                    : Engine::kNoEvent;
-
-    // Rounds within the window: each round speculates the earliest queued
-    // event of every eligible warp in parallel, then commits in global
-    // order until those speculations are all adopted — at which point the
-    // committed turns have scheduled fresh events worth speculating, so
-    // the next round re-collects. Without rounds only one turn per warp
-    // per window would overlap; with them nearly every turn does.
-    while (true) {
-      std::uint64_t t_next = engine.next_event_time();
-      if (t_next == Engine::kNoEvent || t_next >= t_end) break;
-      window.clear();
-      engine.CollectPending(t_end, window);
-      ++round_stamp;
-
-      // Partition the round's events by SM shard. A block never migrates
-      // SMs, so a warp maps to one shard and its state is touched by
-      // exactly one worker.
-      for (auto& shard : shards) shard.clear();
-      for (const Engine::Event& ev : window) {
-        const unsigned sm = unsigned(ev.warp->block()->sm()->id());
-        shards[sm * threads / unsigned(spec.num_sms)].push_back(ev);
-      }
-
-      team.Run();
-      specs_pending = 0;
-      for (const std::uint64_t c : shard_specs) specs_pending += c;
-      const bool none_speculated = specs_pending == 0;
-
-      // Commit phase — the deterministic merge barrier: replay events on
-      // one thread in exact (cycle, insertion-seq) order, exactly the
-      // serial loop with a window bound. Turns consume their speculation
-      // or resume inline; either way every launch-global effect (memory
-      // system charges, stats, traces, barrier releases, block
-      // retirement, fenced host effects) lands in serial order. The round
-      // ends once every speculation is adopted; if nothing was speculable
-      // the rest of the window drains serially (rounds would spin).
-      while (true) {
-        t_next = engine.next_event_time();
-        if (t_next == Engine::kNoEvent || t_next >= t_end) break;
-        if (!none_speculated && specs_pending == 0) break;
-        if (profiler != nullptr && profiler->NeedsSampleBefore(t_next)) {
-          profiler->AdvanceTo(t_next, ActiveWarps(), ResidentBlocks(),
-                              instance_buckets_);
-        }
-        engine.RunOne();
-      }
-    }
-  }
-  // Fold the shard buckets (spec-time charges) into the launch totals.
-  // Buckets carry elapsed_cycles = 0, so AccumulateSequential adds pure
-  // counters; Run() stamps elapsed/blocks afterward as usual.
-  for (const LaunchStats& bucket : shard_stats) {
-    stats.AccumulateSequential(bucket);
   }
 }
 

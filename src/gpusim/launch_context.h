@@ -34,15 +34,6 @@ struct LaunchContext {
   /// as outcome = kDeadlocked plus a failure entry, not an error Status:
   /// a deadlocked point in a sweep fails that point, not the process, and
   /// loaders attribute it to the instances that were still running.
-  ///
-  /// With config.launch_threads > 1 the run is windowed: each iteration
-  /// snapshots the queued events inside the next cycle window, shard
-  /// workers (SMs partitioned by id) speculatively resume each *block's*
-  /// earliest event — charging the turn's partition-derived counters into
-  /// a shard-local bucket — and the commit thread then replays the
-  /// window's events in exact (cycle, insertion-seq) order — the
-  /// deterministic merge barrier. Output is byte-identical to
-  /// launch_threads == 1.
   Status Run();
 
   void OnBlockFinished(Block* block, std::uint64_t now);
@@ -70,11 +61,6 @@ struct LaunchContext {
   const KernelFn& kernel;
 
   Engine engine;
-  /// Threaded-run round accounting: speculations issued in the current
-  /// round and not yet adopted by a committing Turn. The commit loop stops
-  /// a round when this reaches zero, so the next round can re-speculate the
-  /// warps' freshly scheduled turns (Warp::Turn decrements on adoption).
-  std::uint64_t specs_pending = 0;
   LaunchStats stats;
   LaunchOutcome outcome = LaunchOutcome::kCompleted;
   std::vector<std::string> failures;
@@ -82,12 +68,9 @@ struct LaunchContext {
 
  private:
   void TrySchedule(std::uint64_t now);
-  /// Serial event loop (launch_threads <= 1 and every fallback case).
+  /// The event loop: dispatches every queued warp turn in (cycle,
+  /// insertion-seq) order on the calling thread.
   void DrainEvents();
-  /// Windowed speculate-then-commit loop on `threads` >= 2 host threads.
-  void DrainEventsThreaded(unsigned threads);
-  /// Host threads the configuration actually yields (clamps + fallbacks).
-  unsigned EffectiveLaunchThreads() const;
 
   /// Per-instance counter buckets, live only while config.profiler is set:
   /// index 0 collects unattributed (-1) work, index i + 1 instance i.

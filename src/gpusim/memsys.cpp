@@ -153,41 +153,30 @@ std::uint64_t MemorySystem::Access(int sm_id,
   return completion;
 }
 
-std::uint32_t MemorySystem::SharedConflictDegree(
-    std::span<const std::uint64_t> addrs,
-    std::vector<std::uint64_t>& words_scratch,
-    std::vector<std::uint32_t>& bank_scratch) const {
-  if (addrs.empty()) return 0;
+std::uint64_t MemorySystem::AccessShared(std::span<const std::uint64_t> addrs,
+                                         std::uint64_t now,
+                                         LaunchStats& stats) {
   // Bank-conflict model: lanes touching distinct 4-byte words in the same
   // bank serialize; the instruction takes conflict_degree bank cycles.
-  words_scratch.assign(addrs.begin(), addrs.end());
-  for (auto& a : words_scratch) a /= 4;
-  std::sort(words_scratch.begin(), words_scratch.end());
-  words_scratch.erase(std::unique(words_scratch.begin(), words_scratch.end()),
-                      words_scratch.end());
+  smem_words_.assign(addrs.begin(), addrs.end());
+  for (auto& a : smem_words_) a /= 4;
+  std::sort(smem_words_.begin(), smem_words_.end());
+  smem_words_.erase(std::unique(smem_words_.begin(), smem_words_.end()),
+                    smem_words_.end());
 
-  bank_scratch.assign(spec_.smem_banks, 0);
+  smem_per_bank_.assign(spec_.smem_banks, 0);
   if (smem_bank_mask_ != 0) {
-    for (std::uint64_t w : words_scratch) ++bank_scratch[w & smem_bank_mask_];
+    for (std::uint64_t w : smem_words_) ++smem_per_bank_[w & smem_bank_mask_];
   } else {
-    for (std::uint64_t w : words_scratch) ++bank_scratch[w % spec_.smem_banks];
+    for (std::uint64_t w : smem_words_) ++smem_per_bank_[w % spec_.smem_banks];
   }
   std::uint32_t degree = 1;
-  for (std::uint32_t c : bank_scratch) {
+  for (std::uint32_t c : smem_per_bank_) {
     degree = std::max(degree, std::max(c, 1u));
   }
-  return degree;
-}
 
-std::uint64_t MemorySystem::AccessShared(std::span<const std::uint64_t> addrs,
-                                         std::uint64_t now, LaunchStats& stats,
-                                         bool charge) {
-  const std::uint32_t degree =
-      std::max(SharedConflictDegree(addrs, smem_words_, smem_per_bank_), 1u);
-  if (charge) {
-    stats.smem_accesses += addrs.size();
-    stats.smem_bank_conflicts += degree - 1;
-  }
+  stats.smem_accesses += addrs.size();
+  stats.smem_bank_conflicts += degree - 1;
   return now + spec_.smem_latency + (degree - 1);
 }
 

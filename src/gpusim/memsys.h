@@ -35,24 +35,8 @@ class MemorySystem {
 
   /// Services one warp *shared-memory* instruction: lane bank indices are
   /// derived from addresses; conflicting banks serialize. Returns completion.
-  /// `charge` gates the smem counter bumps (accesses, bank conflicts): the
-  /// threaded launch engine pre-charges them into a shard-local bucket at
-  /// speculation time and passes false at commit so nothing double-counts.
-  /// Timing is computed either way.
   std::uint64_t AccessShared(std::span<const std::uint64_t> addrs,
-                             std::uint64_t now, LaunchStats& stats,
-                             bool charge = true);
-
-  /// Worst-bank conflict degree for one warp shared-memory instruction
-  /// (>= 1 for a non-empty warp; 0 when `addrs` is empty). This is the
-  /// stateless core of AccessShared, factored out so shard threads can
-  /// evaluate it concurrently: callers supply their own scratch buffers
-  /// (cleared and reused; contents unspecified afterward) instead of the
-  /// device-owned ones.
-  std::uint32_t SharedConflictDegree(std::span<const std::uint64_t> addrs,
-                                     std::vector<std::uint64_t>& words_scratch,
-                                     std::vector<std::uint32_t>& bank_scratch)
-      const;
+                             std::uint64_t now, LaunchStats& stats);
 
   /// Resets caches and channel state (between independent launches).
   void Reset();
@@ -97,9 +81,8 @@ class MemorySystem {
   std::uint32_t row_shift_ = 0;      ///< log2(row_bytes / sector_bytes)
   std::uint32_t bank_mask_ = 0;      ///< banks_per_channel - 1
   std::uint32_t smem_bank_mask_ = 0;  ///< smem_banks - 1 when pow2, else 0
-  // AccessShared scratch. The commit thread services one warp turn at a
-  // time, so device-owned scratch is safe there; shard threads must go
-  // through SharedConflictDegree with their own buffers instead.
+  // AccessShared scratch (the engine services one warp turn at a time, so
+  // per-device scratch buffers are safe and keep the path allocation-free).
   std::vector<std::uint64_t> smem_words_;
   std::vector<std::uint32_t> smem_per_bank_;
 };

@@ -40,19 +40,16 @@ class SM {
 
   /// Occupies one issue pipe for `cycles` starting no earlier than `t`;
   /// returns the completion time. Pipes are a shared, contended resource:
-  /// co-resident warps (and blocks) queue on them. `charge` gates the
-  /// compute_cycles_issued bump (the threaded launch engine pre-charges it
-  /// into a shard-local bucket at speculation time); pipe state always
-  /// advances.
+  /// co-resident warps (and blocks) queue on them.
   std::uint64_t IssueCompute(std::uint64_t t, std::uint64_t cycles,
-                             LaunchStats& stats, bool charge = true) {
+                             LaunchStats& stats) {
     std::size_t best = 0;
     for (std::size_t i = 1; i < pipe_free_.size(); ++i) {
       if (pipe_free_[i] < pipe_free_[best]) best = i;
     }
     const std::uint64_t start = std::max(t, pipe_free_[best]);
     pipe_free_[best] = start + cycles;
-    if (charge) stats.compute_cycles_issued += cycles;
+    stats.compute_cycles_issued += cycles;
     return pipe_free_[best];
   }
 

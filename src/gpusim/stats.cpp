@@ -68,6 +68,11 @@ std::string RateOrNa(std::uint64_t num, std::uint64_t den) {
 }
 }  // namespace
 
+// Not capped at 1.0: ideal_sectors counts requested bytes, so a group of
+// lanes reading one address (a broadcast) yields ideal > global and an
+// efficiency above 1 — which is why an ensemble of lookup kernels can
+// report 1.01. Redefining ideal_sectors over unique bytes would change
+// every committed metrics document.
 double LaunchStats::CoalescingEfficiency() const {
   return global_sectors == 0 ? 1.0 : Ratio(ideal_sectors, global_sectors);
 }

@@ -20,7 +20,11 @@ struct LaunchStats {
 
   // Memory behaviour.
   std::uint64_t global_sectors = 0;        ///< after coalescing
-  std::uint64_t ideal_sectors = 0;         ///< lower bound (perfect packing)
+  /// ceil(requested bytes / sector) per instruction. Not a lower bound on
+  /// global_sectors: lanes that read the same address request more bytes
+  /// than they touch (a 32-lane broadcast requests 8 sectors' worth and
+  /// touches 1), so ideal_sectors can exceed global_sectors.
+  std::uint64_t ideal_sectors = 0;
   std::uint64_t l1_hits = 0, l1_misses = 0;
   std::uint64_t l2_hits = 0, l2_misses = 0;
   std::uint64_t dram_bytes = 0;
@@ -66,8 +70,9 @@ struct LaunchStats {
   /// 2000. Summing here was the historical bug this split fixes.
   void AccumulateConcurrent(const LaunchStats& other);
 
-  /// Fraction of coalesced sectors that were strictly necessary (1.0 is
-  /// perfectly coalesced; lower means scattered accesses).
+  /// ideal_sectors / global_sectors: 1.0 is perfectly coalesced, lower
+  /// means scattered accesses, and above 1.0 means lanes shared addresses
+  /// (see ideal_sectors).
   double CoalescingEfficiency() const;
   double L1HitRate() const;
   double L2HitRate() const;

@@ -75,26 +75,8 @@ void Warp::Turn(std::uint64_t now) {
       }
     }
   }
-  bool resumed_any;
-  if (spec_valid_) {
-    // Adopt the speculative resume. It was taken against the block's
-    // earliest queued event (the walker's per-round block stamp enforces
-    // that), and nothing can enqueue an earlier one — barrier releases
-    // need same-block arrivals and the block scheduler only wakes new
-    // blocks — so the first dispatch after speculation is always the
-    // speculated event itself.
-    DGC_CHECK(spec_t_ == now &&
-              spec_seq_ == lc_->engine.dispatching_seq());
-    spec_valid_ = false;
-    --lc_->specs_pending;
-    resumed_any = CommitSpeculation(now);
-  } else {
-    resumed_any = ResumePhase(now);
-  }
-  bool processed_any = false;
-  ProcessPhase(now, processed_any);
-  (void)resumed_any;
-  (void)processed_any;
+  ResumePhase(now);
+  ProcessPhase(now);
 
   // Schedule the next turn at the earliest time a lane becomes runnable.
   // Lanes blocked on barriers are woken by the barrier release instead.
@@ -110,157 +92,43 @@ void Warp::Turn(std::uint64_t now) {
   if (t_next != ~std::uint64_t(0)) WakeAt(t_next, lc_->engine);
 }
 
-bool Warp::ResumePhase(std::uint64_t now) {
-  bool resumed_any = false;
-  for (Lane& lane : lanes_) TryResumeLane(lane, now, resumed_any);
-  return resumed_any;
-}
-
-void Warp::TryResumeLane(Lane& lane, std::uint64_t now, bool& resumed_any) {
-  if (lane.state != Lane::State::kReady || lane.root_finished()) return;
-  if (lane.pending.kind != DeviceOp::Kind::kNone) return;
-  if (lane.ready_at > now) return;
-  // Watchdog enforcement happens at the resume point: a lane past the
-  // launch budget (or its own per-instance deadline) is armed to trap,
-  // and the resume below raises it inside the coroutine.
+void Warp::ResumePhase(std::uint64_t now) {
   const std::uint64_t budget = lc_->config.watchdog_cycles;
-  if (lane.pending_trap == TrapKind::kNone &&
-      ((budget != 0 && now >= budget) ||
-       (lane.watchdog_deadline != 0 && now >= lane.watchdog_deadline))) {
-    lane.pending_trap = TrapKind::kWatchdog;
-    lane.trap_cycle = now;
-  }
-  ResumeLaneInline(lane, now, resumed_any);
-}
-
-void Warp::ResumeLaneInline(Lane& lane, std::uint64_t now, bool& resumed_any) {
-  for (;;) {
-    lane.resume_now = now;
-    lane.Resume();
-    resumed_any = true;
-    if (lane.root_finished()) {
-      FinishLane(lane, now);
-      return;
-    }
-    if (lane.pending.kind != DeviceOp::Kind::kHostFence) return;
-    // HostFence executed inline is invisible: the fenced continuation runs
-    // right here, at the same side-effect slot as code without the fence.
-    lane.pending = DeviceOp{};
-  }
-}
-
-void Warp::FinishLane(Lane& lane, std::uint64_t now) {
-  if (std::exception_ptr err = lane.root_error()) {
-    lane.state = Lane::State::kFailed;
-    std::string what = "unknown device exception";
-    TrapKind kind = TrapKind::kNone;
-    try {
-      std::rethrow_exception(err);
-    } catch (const DeviceTrap& trap) {
-      what = trap.what();
-      kind = trap.kind();
-    } catch (const std::exception& e) {
-      what = e.what();
-    } catch (...) {
-    }
-    lc_->RecordFailure(block_->id(), lane.thread_id, kind, what);
-  } else {
-    lane.state = Lane::State::kDone;
-  }
-  block_->OnLaneDone(&lane, now);
-}
-
-bool Warp::CanSpeculate(std::uint64_t t) const {
-  // Multi-warp safety comes from the walker, not from here: the per-round
-  // block stamp guarantees only a block's earliest snapshot event is ever
-  // speculated, so no sibling activity (barrier release, shared-memory
-  // allocation, row-watchdog re-arm, team-state writes) can intervene
-  // before adoption. The one remaining exclusion is trap-site-aware: a
-  // turn that would fire MatchTrap at `t` consumes fault-plan state,
-  // which must happen in commit order, so exactly those turns stay
-  // serial. WorkScale and the malloc/rpc ordinals are safe — the former
-  // is const, the latter are consumed at commit time only (HostFence and
-  // host-call issue paths).
-  const FaultPlan* faults = lc_->config.faults;
-  return faults == nullptr ||
-         !faults->HasPendingTrap(block_->id(), warp_id_, t);
-}
-
-void Warp::SpeculativeResume(std::uint64_t t, std::uint64_t seq,
-                             LaunchStats* shard_stats) {
-  spec_outcome_.assign(lanes_.size(), SpecOutcome::kUntouched);
-  spec_resumed_any_ = false;
-  bool at_fence = false;
-  const std::uint64_t budget = lc_->config.watchdog_cycles;
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    Lane& lane = lanes_[i];
+  for (Lane& lane : lanes_) {
     if (lane.state != Lane::State::kReady || lane.root_finished()) continue;
     if (lane.pending.kind != DeviceOp::Kind::kNone) continue;
-    if (lane.ready_at > t) continue;
+    if (lane.ready_at > now) continue;
+    // Watchdog enforcement happens at the resume point: a lane past the
+    // launch budget (or its own per-instance deadline) is armed to trap,
+    // and the resume below raises it inside the coroutine.
     if (lane.pending_trap == TrapKind::kNone &&
-        ((budget != 0 && t >= budget) ||
-         (lane.watchdog_deadline != 0 && t >= lane.watchdog_deadline))) {
+        ((budget != 0 && now >= budget) ||
+         (lane.watchdog_deadline != 0 && now >= lane.watchdog_deadline))) {
       lane.pending_trap = TrapKind::kWatchdog;
-      lane.trap_cycle = t;
+      lane.trap_cycle = now;
     }
-    lane.resume_now = t;
     lane.Resume();
-    spec_resumed_any_ = true;
-    if (lane.root_finished()) {
-      // Classification, failure recording, and OnLaneDone mutate launch
-      // state (barrier membership, SM occupancy, the block scheduler) —
-      // all deferred to the commit turn.
-      spec_outcome_[i] = SpecOutcome::kFinished;
-      continue;
-    }
-    if (lane.pending.kind == DeviceOp::Kind::kHostFence) {
-      // The continuation mutates launch-global host state; park this lane
-      // and stop the pass — the commit turn resumes from here inline, so
-      // the fenced effect lands at its exact serial-order slot, and the
-      // remaining lanes follow it in lane order as the serial engine would.
-      spec_outcome_[i] = SpecOutcome::kAtFence;
-      at_fence = true;
-      break;
-    }
-    spec_outcome_[i] = SpecOutcome::kResumed;
-  }
-  spec_valid_ = true;
-  spec_t_ = t;
-  spec_seq_ = seq;
-  // With no fence stop the turn's pending ops are final, so the expensive
-  // half of the issue path — sector coalescing — can run here, off the
-  // commit thread. A fence's commit-side continuation can add pending ops
-  // and change the partition, so those turns coalesce inline at commit.
-  if (at_fence) {
-    spec_sectors_valid_ = false;
-  } else {
-    PrecomputeIssueSectors(shard_stats);
-  }
-}
+    if (!lane.root_finished()) continue;
 
-bool Warp::CommitSpeculation(std::uint64_t now) {
-  bool resumed_any = spec_resumed_any_;
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    Lane& lane = lanes_[i];
-    switch (spec_outcome_[i]) {
-      case SpecOutcome::kResumed:
-        break;  // already at its next suspension; ProcessPhase issues it
-      case SpecOutcome::kFinished:
-        FinishLane(lane, now);
-        break;
-      case SpecOutcome::kAtFence:
-        lane.pending = DeviceOp{};
-        ResumeLaneInline(lane, now, resumed_any);
-        break;
-      case SpecOutcome::kUntouched:
-        // Skipped by the speculative pass — either ineligible (those
-        // conditions are warp-local and unchanged since) or past a fence
-        // stop; the normal inline step handles both.
-        TryResumeLane(lane, now, resumed_any);
-        break;
+    if (std::exception_ptr err = lane.root_error()) {
+      lane.state = Lane::State::kFailed;
+      std::string what = "unknown device exception";
+      TrapKind kind = TrapKind::kNone;
+      try {
+        std::rethrow_exception(err);
+      } catch (const DeviceTrap& trap) {
+        what = trap.what();
+        kind = trap.kind();
+      } catch (const std::exception& e) {
+        what = e.what();
+      } catch (...) {
+      }
+      lc_->RecordFailure(block_->id(), lane.thread_id, kind, what);
+    } else {
+      lane.state = Lane::State::kDone;
     }
+    block_->OnLaneDone(&lane, now);
   }
-  return resumed_any;
 }
 
 DeviceOp::Kind Warp::SelectIssueGroup(std::size_t& remaining) {
@@ -293,166 +161,7 @@ DeviceOp::Kind Warp::SelectIssueGroup(std::size_t& remaining) {
   return kind;
 }
 
-void Warp::PrecomputeIssueSectors(LaunchStats* bucket) {
-  // Runs on the warp's shard thread, after the speculative resume set the
-  // turn's pending ops. The partition below replays exactly what the
-  // commit turn's ProcessPhase will select (same candidates, same
-  // SelectIssueGroup), so entries can be consumed positionally. Sector
-  // derivation happens here because it depends on nothing but the ops'
-  // addresses; with `bucket` set, the partition-derived *counters* are
-  // charged here too (shard-local commit) — they are pure functions of
-  // the ops, independent of memsys/cache state, so charging them into a
-  // per-shard bucket and folding the buckets after the drain reproduces
-  // the serial totals exactly. Functional effects, timing, and the
-  // stateful memsys internals stay with the commit thread.
-  spec_sectors_count_ = 0;
-  spec_sectors_next_ = 0;
-  spec_sectors_valid_ = true;
-  pending_lanes_.clear();
-  for (Lane& lane : lanes_) {
-    if (lane.state != Lane::State::kReady) continue;
-    if (lane.pending.kind == DeviceOp::Kind::kNone) continue;
-    pending_lanes_.push_back(&lane);
-  }
-  std::size_t remaining = pending_lanes_.size();
-  int groups = 0;
-  while (remaining != 0) {
-    const DeviceOp::Kind kind = SelectIssueGroup(remaining);
-    ++groups;
-    switch (kind) {
-      case DeviceOp::Kind::kLoad:
-      case DeviceOp::Kind::kStore:
-      case DeviceOp::Kind::kAtomic: {
-        if (IsSharedAddr(group_.front()->pending.addr)) {
-          if (bucket != nullptr) {
-            shared_addrs_.clear();
-            for (Lane* lane : group_) {
-              shared_addrs_.push_back(lane->pending.addr - kSharedBase);
-            }
-            const std::uint32_t degree =
-                std::max(lc_->memsys.SharedConflictDegree(
-                             shared_addrs_, smem_words_scratch_,
-                             smem_bank_scratch_),
-                         1u);
-            bucket->smem_accesses += shared_addrs_.size();
-            bucket->smem_bank_conflicts += degree - 1;
-          }
-          break;
-        }
-        accesses_.clear();
-        std::uint64_t total_bytes = 0;
-        for (Lane* lane : group_) {
-          const DeviceOp& op = lane->pending;
-          accesses_.push_back({op.addr, op.bytes});
-          total_bytes += op.bytes;
-        }
-        EmitSpecSectors(kind, total_bytes);
-        if (bucket != nullptr) {
-          bucket->global_sectors +=
-              spec_sectors_[spec_sectors_count_ - 1].sectors.size();
-          bucket->ideal_sectors +=
-              IdealSectorCountForBytes(total_bytes, lc_->spec.sector_bytes);
-        }
-        break;
-      }
-      case DeviceOp::Kind::kLoadBatch:
-      case DeviceOp::Kind::kStoreBatch: {
-        accesses_.clear();
-        std::uint64_t total_bytes = 0;
-        for (Lane* lane : group_) {
-          const DeviceOp& op = lane->pending;
-          for (std::uint32_t i = 0; i < op.batch_count; ++i) {
-            accesses_.push_back({op.batch[i].addr, op.batch[i].bytes});
-            total_bytes += op.batch[i].bytes;
-          }
-        }
-        EmitSpecSectors(kind, total_bytes);
-        if (bucket != nullptr) {
-          bucket->global_sectors +=
-              spec_sectors_[spec_sectors_count_ - 1].sectors.size();
-          bucket->ideal_sectors +=
-              IdealSectorCountForBytes(total_bytes, lc_->spec.sector_bytes);
-        }
-        break;
-      }
-      case DeviceOp::Kind::kWork: {
-        if (bucket != nullptr) {
-          std::uint64_t cycles = 1;
-          for (Lane* lane : group_) {
-            cycles = std::max(cycles, lane->pending.cycles);
-          }
-          if (const FaultPlan* faults = lc_->config.faults) {
-            cycles *= faults->WorkScale(block_->id());
-          }
-          bucket->compute_cycles_issued += cycles;
-        }
-        break;
-      }
-      case DeviceOp::Kind::kExternal:
-        if (bucket != nullptr) bucket->external_calls += group_.size();
-        break;
-      case DeviceOp::Kind::kSync:
-        if (bucket != nullptr) bucket->barrier_arrivals += group_.size();
-        break;
-      default:
-        break;
-    }
-    if (bucket != nullptr) {
-      ++bucket->warp_instructions;
-      switch (kind) {
-        case DeviceOp::Kind::kWork:
-          ++bucket->compute_instructions;
-          break;
-        case DeviceOp::Kind::kLoad:
-        case DeviceOp::Kind::kLoadBatch:
-          ++bucket->load_instructions;
-          break;
-        case DeviceOp::Kind::kStore:
-        case DeviceOp::Kind::kStoreBatch:
-          ++bucket->store_instructions;
-          break;
-        case DeviceOp::Kind::kAtomic:
-          ++bucket->atomic_instructions;
-          break;
-        default:
-          break;
-      }
-    }
-  }
-  if (bucket != nullptr) {
-    if (groups > 1) bucket->divergent_replays += std::uint64_t(groups - 1);
-    spec_stats_charged_ = true;
-  }
-}
-
-void Warp::EmitSpecSectors(DeviceOp::Kind kind, std::uint64_t total_bytes) {
-  if (spec_sectors_.size() <= spec_sectors_count_) {
-    spec_sectors_.emplace_back();
-  }
-  SpecSectors& entry = spec_sectors_[spec_sectors_count_++];
-  entry.kind = kind;
-  entry.group_size = std::uint32_t(group_.size());
-  entry.total_bytes = total_bytes;
-  CoalesceSectors(accesses_, lc_->spec.sector_bytes, entry.sectors);
-}
-
-Warp::SpecSectors* Warp::ConsumeSpecSectors(DeviceOp::Kind kind,
-                                            std::uint64_t total_bytes) {
-  if (!spec_sectors_valid_ || spec_sectors_next_ >= spec_sectors_count_) {
-    return nullptr;
-  }
-  SpecSectors& entry = spec_sectors_[spec_sectors_next_];
-  // The tag must match: precompute and commit walked the same partition
-  // over the same pending ops, so any divergence is a speculation bug, not
-  // a recoverable condition.
-  DGC_CHECK(entry.kind == kind &&
-            entry.group_size == std::uint32_t(group_.size()) &&
-            entry.total_bytes == total_bytes);
-  ++spec_sectors_next_;
-  return &entry;
-}
-
-std::uint64_t Warp::ProcessPhase(std::uint64_t now, bool& processed_any) {
+std::uint64_t Warp::ProcessPhase(std::uint64_t now) {
   // Divergent subsets of a warp serialize at ISSUE (one group per issue
   // slot, kIssueCycles apart) but their latencies overlap — both sides of
   // a branch can have memory in flight. The turn completes, and all lanes
@@ -461,11 +170,6 @@ std::uint64_t Warp::ProcessPhase(std::uint64_t now, bool& processed_any) {
   std::uint64_t t = now;       // final (max) completion
   std::uint64_t issue = now;   // next group's issue time
   int groups = 0;
-  // When the speculated turn already charged its partition-derived
-  // counters into a shard bucket, this commit replay must not charge them
-  // again. The flag is good for exactly one turn (like the sector cache).
-  const bool charge = !spec_stats_charged_;
-  spec_stats_charged_ = false;
   // Candidate lanes are fixed for the whole phase: a lane with a pending op
   // is Ready (blocked lanes surrendered their op at the barrier), issuing a
   // group never hands a new op to another lane, and group order is lane
@@ -483,53 +187,47 @@ std::uint64_t Warp::ProcessPhase(std::uint64_t now, bool& processed_any) {
   while (remaining != 0) {
     const DeviceOp::Kind kind = SelectIssueGroup(remaining);
     ++groups;
-    processed_any = true;
     // One stats sink per issue group: lanes of a group share an op and —
     // with the block/team-granular instance_of maps the loaders install —
     // an owning instance, so the leading lane speaks for the group.
     LaunchStats& gstats =
         lc_->IssueStats(block_->id(), group_.front()->thread_id);
-    if (charge) ++gstats.warp_instructions;
+    ++gstats.warp_instructions;
 
     std::uint64_t t_end = issue;
     switch (kind) {
       case DeviceOp::Kind::kWork:
-        if (charge) ++gstats.compute_instructions;
-        t_end = IssueWorkGroup(group_, issue, gstats, charge);
+        ++gstats.compute_instructions;
+        t_end = IssueWorkGroup(group_, issue, gstats);
         break;
       case DeviceOp::Kind::kLoad:
-        if (charge) ++gstats.load_instructions;
-        t_end =
-            IssueMemoryGroup(group_, /*is_store=*/false, issue, gstats, charge);
+        ++gstats.load_instructions;
+        t_end = IssueMemoryGroup(group_, /*is_store=*/false, issue, gstats);
         break;
       case DeviceOp::Kind::kLoadBatch:
-        if (charge) ++gstats.load_instructions;
-        t_end =
-            IssueBatchGroup(group_, issue, /*is_store=*/false, gstats, charge);
+        ++gstats.load_instructions;
+        t_end = IssueBatchGroup(group_, issue, /*is_store=*/false, gstats);
         break;
       case DeviceOp::Kind::kStoreBatch:
-        if (charge) ++gstats.store_instructions;
-        t_end =
-            IssueBatchGroup(group_, issue, /*is_store=*/true, gstats, charge);
+        ++gstats.store_instructions;
+        t_end = IssueBatchGroup(group_, issue, /*is_store=*/true, gstats);
         break;
       case DeviceOp::Kind::kStore:
-        if (charge) ++gstats.store_instructions;
-        t_end =
-            IssueMemoryGroup(group_, /*is_store=*/true, issue, gstats, charge);
+        ++gstats.store_instructions;
+        t_end = IssueMemoryGroup(group_, /*is_store=*/true, issue, gstats);
         break;
       case DeviceOp::Kind::kAtomic:
-        if (charge) ++gstats.atomic_instructions;
-        t_end = IssueAtomicGroup(group_, issue, gstats, charge);
+        ++gstats.atomic_instructions;
+        t_end = IssueAtomicGroup(group_, issue, gstats);
         break;
       case DeviceOp::Kind::kExternal:
-        t_end = IssueExternalGroup(group_, issue, gstats, charge);
+        t_end = IssueExternalGroup(group_, issue, gstats);
         break;
       case DeviceOp::Kind::kSync:
-        IssueSyncGroup(group_, issue, charge);
+        IssueSyncGroup(group_, issue);
         issue += kIssueCycles;
         continue;  // lanes are blocked; no completion time to propagate
       case DeviceOp::Kind::kNone:
-      case DeviceOp::Kind::kHostFence:  // consumed by the resume loop
         DGC_CHECK(false);
     }
 
@@ -552,7 +250,7 @@ std::uint64_t Warp::ProcessPhase(std::uint64_t now, bool& processed_any) {
     t = std::max(t, t_end);
     issue += kIssueCycles;
   }
-  if (charge && groups > 1) {
+  if (groups > 1) {
     lc_->IssueStats(block_->id(), lanes_.front().thread_id).divergent_replays +=
         std::uint64_t(groups - 1);
   }
@@ -566,16 +264,11 @@ std::uint64_t Warp::ProcessPhase(std::uint64_t now, bool& processed_any) {
     if (lane->state == Lane::State::kReady) lane->ready_at = t;
   }
   processed_.clear();
-  // Precomputed sectors are good for exactly one turn: the ops they were
-  // derived from are consumed above, so a stale cache must never survive
-  // into a later turn's groups.
-  spec_sectors_valid_ = false;
   return t;
 }
 
 std::uint64_t Warp::IssueMemoryGroup(std::span<Lane*> group, bool is_store,
-                                     std::uint64_t t, LaunchStats& stats,
-                                     bool charge) {
+                                     std::uint64_t t, LaunchStats& stats) {
   const bool shared_space = IsSharedAddr(group.front()->pending.addr);
   Memcheck* const memcheck = lc_->config.memcheck;
 
@@ -604,26 +297,18 @@ std::uint64_t Warp::IssueMemoryGroup(std::span<Lane*> group, bool is_store,
   }
 
   if (shared_space) {
-    return lc_->memsys.AccessShared(shared_addrs_, t, stats, charge);
+    return lc_->memsys.AccessShared(shared_addrs_, t, stats);
   }
 
-  if (SpecSectors* cached =
-          ConsumeSpecSectors(group.front()->pending.kind, total_bytes)) {
-    sectors_.swap(cached->sectors);
-  } else {
-    CoalesceSectors(accesses_, lc_->spec.sector_bytes, sectors_);
-  }
-  if (charge) {
-    stats.global_sectors += sectors_.size();
-    stats.ideal_sectors +=
-        IdealSectorCountForBytes(total_bytes, lc_->spec.sector_bytes);
-  }
+  CoalesceSectors(accesses_, lc_->spec.sector_bytes, sectors_);
+  stats.global_sectors += sectors_.size();
+  stats.ideal_sectors +=
+      IdealSectorCountForBytes(total_bytes, lc_->spec.sector_bytes);
   return lc_->memsys.Access(block_->sm()->id(), sectors_, is_store, t, stats);
 }
 
 std::uint64_t Warp::IssueBatchGroup(std::span<Lane*> group, std::uint64_t t,
-                                    bool is_store, LaunchStats& stats,
-                                    bool charge) {
+                                    bool is_store, LaunchStats& stats) {
   // Pipelined independent loads/stores: every slot of every lane coalesces
   // into one stream of sectors that pays bandwidth-serialized service but
   // only one latency trip — the scoreboarded-MLP behaviour of streaming
@@ -650,22 +335,15 @@ std::uint64_t Warp::IssueBatchGroup(std::span<Lane*> group, std::uint64_t t,
       total_bytes += slot.bytes;
     }
   }
-  if (SpecSectors* cached =
-          ConsumeSpecSectors(group.front()->pending.kind, total_bytes)) {
-    sectors_.swap(cached->sectors);
-  } else {
-    CoalesceSectors(accesses_, lc_->spec.sector_bytes, sectors_);
-  }
-  if (charge) {
-    stats.global_sectors += sectors_.size();
-    stats.ideal_sectors +=
-        IdealSectorCountForBytes(total_bytes, lc_->spec.sector_bytes);
-  }
+  CoalesceSectors(accesses_, lc_->spec.sector_bytes, sectors_);
+  stats.global_sectors += sectors_.size();
+  stats.ideal_sectors +=
+      IdealSectorCountForBytes(total_bytes, lc_->spec.sector_bytes);
   return lc_->memsys.Access(block_->sm()->id(), sectors_, is_store, t, stats);
 }
 
 std::uint64_t Warp::IssueAtomicGroup(std::span<Lane*> group, std::uint64_t t,
-                                     LaunchStats& stats, bool charge) {
+                                     LaunchStats& stats) {
   Memcheck* const memcheck = lc_->config.memcheck;
   const bool shared_space = IsSharedAddr(group.front()->pending.addr);
   // Functional read-modify-write in lane order (deterministic), fused with
@@ -689,19 +367,12 @@ std::uint64_t Warp::IssueAtomicGroup(std::span<Lane*> group, std::uint64_t t,
   }
   std::uint64_t t_end;
   if (shared_space) {
-    t_end = lc_->memsys.AccessShared(shared_addrs_, t, stats, charge);
+    t_end = lc_->memsys.AccessShared(shared_addrs_, t, stats);
   } else {
-    if (SpecSectors* cached =
-            ConsumeSpecSectors(DeviceOp::Kind::kAtomic, total_bytes)) {
-      sectors_.swap(cached->sectors);
-    } else {
-      CoalesceSectors(accesses_, lc_->spec.sector_bytes, sectors_);
-    }
-    if (charge) {
-      stats.global_sectors += sectors_.size();
-      stats.ideal_sectors +=
-          IdealSectorCountForBytes(total_bytes, lc_->spec.sector_bytes);
-    }
+    CoalesceSectors(accesses_, lc_->spec.sector_bytes, sectors_);
+    stats.global_sectors += sectors_.size();
+    stats.ideal_sectors +=
+        IdealSectorCountForBytes(total_bytes, lc_->spec.sector_bytes);
     t_end = lc_->memsys.Access(block_->sm()->id(), sectors_, /*is_store=*/true,
                                t, stats);
   }
@@ -711,39 +382,36 @@ std::uint64_t Warp::IssueAtomicGroup(std::span<Lane*> group, std::uint64_t t,
 }
 
 std::uint64_t Warp::IssueWorkGroup(std::span<Lane*> group, std::uint64_t t,
-                                   LaunchStats& stats, bool charge) {
+                                   LaunchStats& stats) {
   std::uint64_t cycles = 1;
   for (Lane* lane : group) cycles = std::max(cycles, lane->pending.cycles);
   if (const FaultPlan* faults = lc_->config.faults) {
     // Injected slowdown (e.g. modeling a thermally-throttled block).
     cycles *= faults->WorkScale(block_->id());
   }
-  return block_->sm()->IssueCompute(t, cycles, stats, charge);
+  return block_->sm()->IssueCompute(t, cycles, stats);
 }
 
 std::uint64_t Warp::IssueExternalGroup(std::span<Lane*> group, std::uint64_t t,
-                                       LaunchStats& stats, bool charge) {
+                                       LaunchStats& stats) {
   // Host calls are serviced sequentially by the host RPC thread.
   std::uint64_t t_end = t;
   for (Lane* lane : group) {
     DeviceOp& op = lane->pending;
     lane->pending_result = (*op.external)();
     t_end += std::max<std::uint64_t>(op.cycles, 1);
-    if (charge) ++stats.external_calls;
+    ++stats.external_calls;
   }
   return t_end;
 }
 
-void Warp::IssueSyncGroup(std::span<Lane*> group, std::uint64_t t,
-                          bool charge) {
+void Warp::IssueSyncGroup(std::span<Lane*> group, std::uint64_t t) {
   for (Lane* lane : group) {
     Barrier* barrier = lane->pending.barrier;
     lane->pending = DeviceOp{};
     // Arrivals attribute per lane: with teams packed into one block, lanes
     // of a sync group can belong to different instances.
-    if (charge) {
-      ++lc_->IssueStats(block_->id(), lane->thread_id).barrier_arrivals;
-    }
+    ++lc_->IssueStats(block_->id(), lane->thread_id).barrier_arrivals;
     barrier->Arrive(lane, t, lc_->engine);
   }
 }

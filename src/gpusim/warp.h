@@ -37,44 +37,6 @@ class Warp {
   /// One scheduler turn at time `now`; called by the engine.
   void Turn(std::uint64_t now);
 
-  // --- Speculative resume (threaded launches) -------------------------------
-  //
-  // The threaded engine snapshots a cycle window of queued events and lets
-  // shard workers run the *resume* half of eligible turns ahead of time;
-  // the commit thread then replays the window's events in exact serial
-  // order, adopting each speculation instead of resuming again. The shard
-  // walker enforces the "earliest block event" rule (one speculation per
-  // block per round, always the block's earliest snapshot event — see
-  // Block::spec_round_stamp): a block's warps all live on one SM and so in
-  // one shard, and nothing can mutate the block between the round snapshot
-  // and the adoption of its earliest event — barrier releases need
-  // same-block arrivals, the block scheduler only wakes *new* blocks, and
-  // other blocks cannot touch this block's lanes, shared allocator, or
-  // watchdog deadlines. So the state a speculative resume reads is exactly
-  // the state the serial engine would have read, for single- and
-  // multi-warp blocks alike.
-
-  /// True when the turn at the queued event time `t` may be resumed
-  /// off-thread. The only per-warp exclusion left is an armed fault plan
-  /// with a pending trap site for this warp at `t`: MatchTrap consumes
-  /// plan state at turn start, which must happen in commit order. Plans
-  /// whose sites are elsewhere (or not yet due) speculate normally.
-  bool CanSpeculate(std::uint64_t t) const;
-
-  /// Runs the resume phase for the queued event (`t`, `seq`) — which must
-  /// be this warp's earliest undispatched event — recording per-lane
-  /// outcomes instead of applying launch-global effects: lane termination
-  /// bookkeeping is deferred to the commit turn, and a lane reaching a
-  /// HostFence parks there (the remaining lanes stay untouched).
-  /// `shard_stats`, when non-null, receives the turn's partition-derived
-  /// counters (instruction/sector/smem/compute-cycle charges) so the
-  /// commit turn can skip them — the caller folds the bucket into the
-  /// launch totals after the drain. Pass null when per-instance
-  /// attribution is on (profiler) so every counter lands in its
-  /// instance bucket at commit as before.
-  void SpeculativeResume(std::uint64_t t, std::uint64_t seq,
-                         LaunchStats* shard_stats);
-
   std::uint32_t id() const { return warp_id_; }
   Block* block() const { return block_; }
 
@@ -86,78 +48,28 @@ class Warp {
   void clear_queued_wake() { queued_wake_ = kNoQueuedWake; }
 
  private:
-  /// What the speculative pass did with each lane (parallel to lanes_).
-  enum class SpecOutcome : std::uint8_t {
-    kUntouched,  ///< not reached (ineligible, or after a fence stop)
-    kResumed,    ///< resumed to its next suspension; pending op is set
-    kFinished,   ///< root coroutine completed; bookkeeping deferred
-    kAtFence,    ///< parked at a HostFence; commit finishes the resume
-  };
-
-  /// One precomputed coalescing result: the sector list (and its stats
-  /// inputs) of one global-memory issue group, derived on the shard thread
-  /// so the commit turn's ProcessPhase can skip CoalesceSectors — the
-  /// single hottest function of the serial engine. The tag fields let the
-  /// consumer verify it is adopting the group it thinks it is.
-  struct SpecSectors {
-    DeviceOp::Kind kind = DeviceOp::Kind::kNone;
-    std::uint32_t group_size = 0;
-    std::uint64_t total_bytes = 0;
-    std::vector<std::uint64_t> sectors;
-  };
-
-  /// Resumes runnable lanes to their next suspension; reports terminations.
-  bool ResumePhase(std::uint64_t now);
-  /// Replays a consumed speculation as this turn's resume phase.
-  bool CommitSpeculation(std::uint64_t now);
+  /// Resumes runnable lanes to their next suspension; records terminations.
+  void ResumePhase(std::uint64_t now);
   /// Selects the next issue group from pending_lanes_[0..remaining) into
-  /// group_, compacting the rest in place (shared by ProcessPhase and the
-  /// speculative precompute, which must see the identical partition).
+  /// group_, compacting the rest in place.
   DeviceOp::Kind SelectIssueGroup(std::size_t& remaining);
-  /// Walks the issue-group partition of the just-speculated pending ops,
-  /// coalesces every global-memory group's sectors ahead of commit, and —
-  /// when `bucket` is non-null — charges the partition-derived counters
-  /// (warp/kind instructions, global/ideal sectors, smem accesses and
-  /// conflicts, compute cycles, external calls, barrier arrivals,
-  /// divergent replays) into it, setting spec_stats_charged_ so the
-  /// commit turn skips exactly those bumps.
-  void PrecomputeIssueSectors(LaunchStats* bucket);
-  /// Appends one precomputed entry for group_ (accesses_ already built).
-  void EmitSpecSectors(DeviceOp::Kind kind, std::uint64_t total_bytes);
-  /// The cached entry for the group about to issue, or null when no valid
-  /// precomputed entry exists (caller coalesces inline). Mutable so the
-  /// caller can swap the sector list into sectors_, keeping every
-  /// downstream consumer (stats, memsys, trace records) on one buffer.
-  SpecSectors* ConsumeSpecSectors(DeviceOp::Kind kind,
-                                  std::uint64_t total_bytes);
-  /// The per-lane resume step of ResumePhase (eligibility + watchdog).
-  void TryResumeLane(Lane& lane, std::uint64_t now, bool& resumed_any);
-  /// Resumes `lane` (unconditionally) through any HostFence hops.
-  void ResumeLaneInline(Lane& lane, std::uint64_t now, bool& resumed_any);
-  /// Termination bookkeeping for a lane whose root coroutine completed.
-  void FinishLane(Lane& lane, std::uint64_t now);
   /// Issues all pending op groups in program order; returns the final time.
-  std::uint64_t ProcessPhase(std::uint64_t now, bool& processed_any);
+  std::uint64_t ProcessPhase(std::uint64_t now);
 
   // Issue helpers charge their counters to `stats` — the launch-global
   // LaunchStats, or the owning instance's bucket when profiling is on
-  // (see LaunchContext::IssueStats). `charge` is false when the turn's
-  // partition-derived counters were already charged into a shard bucket at
-  // speculation time; functional effects, timing, and the stateful memsys
-  // internals (cache hits/misses, DRAM/queue accounting) are applied
-  // either way.
+  // (see LaunchContext::IssueStats).
   std::uint64_t IssueMemoryGroup(std::span<Lane*> group, bool is_store,
-                                 std::uint64_t t, LaunchStats& stats,
-                                 bool charge);
+                                 std::uint64_t t, LaunchStats& stats);
   std::uint64_t IssueBatchGroup(std::span<Lane*> group, std::uint64_t t,
-                                bool is_store, LaunchStats& stats, bool charge);
+                                bool is_store, LaunchStats& stats);
   std::uint64_t IssueAtomicGroup(std::span<Lane*> group, std::uint64_t t,
-                                 LaunchStats& stats, bool charge);
+                                 LaunchStats& stats);
   std::uint64_t IssueWorkGroup(std::span<Lane*> group, std::uint64_t t,
-                               LaunchStats& stats, bool charge);
+                               LaunchStats& stats);
   std::uint64_t IssueExternalGroup(std::span<Lane*> group, std::uint64_t t,
-                                   LaunchStats& stats, bool charge);
-  void IssueSyncGroup(std::span<Lane*> group, std::uint64_t t, bool charge);
+                                   LaunchStats& stats);
+  void IssueSyncGroup(std::span<Lane*> group, std::uint64_t t);
 
   Block* block_;
   std::uint32_t warp_id_;
@@ -173,36 +85,8 @@ class Warp {
   std::vector<std::uint64_t> sectors_;
   std::vector<LaneAccess> accesses_;
   std::vector<std::uint64_t> shared_addrs_;
-  // Scratch for MemorySystem::SharedConflictDegree at speculation time
-  // (shard threads must not use the device-owned AccessShared scratch).
-  std::vector<std::uint64_t> smem_words_scratch_;
-  std::vector<std::uint32_t> smem_bank_scratch_;
 
   std::uint64_t queued_wake_ = kNoQueuedWake;
-
-  // Speculation slot: one per warp, filled by SpeculativeResume on the
-  // warp's shard thread, consumed by the next Turn on the commit thread
-  // (the thread-pool join between the two phases orders the hand-off).
-  bool spec_valid_ = false;
-  bool spec_resumed_any_ = false;
-  std::uint64_t spec_t_ = 0;
-  std::uint64_t spec_seq_ = 0;
-  std::vector<SpecOutcome> spec_outcome_;
-
-  // Precomputed coalescing for the speculated turn (entries are reused
-  // across rounds; count_/next_ bound the valid/consumed range). Valid only
-  // when the speculative pass ran to completion with no fence stop — a
-  // fence's commit-side continuation can add pending ops, changing the
-  // partition.
-  bool spec_sectors_valid_ = false;
-  std::size_t spec_sectors_count_ = 0;
-  std::size_t spec_sectors_next_ = 0;
-  std::vector<SpecSectors> spec_sectors_;
-
-  // True when the speculated turn's partition-derived counters were
-  // already charged into a shard-local bucket; the next ProcessPhase
-  // consumes (and clears) it, skipping exactly those bumps.
-  bool spec_stats_charged_ = false;
 };
 
 }  // namespace dgc::sim

@@ -41,8 +41,6 @@ StatusOr<sim::LaunchResult> LaunchTeams(sim::Device& device,
   launch.watchdog_cycles = cfg.watchdog_cycles;
   launch.instance_of = cfg.instance_of;
   launch.profiler = cfg.profiler;
-  launch.launch_threads = cfg.launch_threads;
-  launch.launch_window_cycles = cfg.launch_window_cycles;
 
   const std::uint32_t num_teams = cfg.num_teams;
   const std::uint32_t team_size = cfg.thread_limit;

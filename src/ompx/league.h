@@ -40,13 +40,6 @@ struct TeamsConfig {
   /// Optional launch profiler (gpusim/profiler.h), forwarded to the kernel
   /// launch; attributes counters per instance through `instance_of`.
   sim::Profiler* profiler = nullptr;
-  /// Host threads simulating the launch (LaunchConfig::launch_threads):
-  /// 1 = serial engine; N > 1 = SM-sharded speculation with a
-  /// deterministic merge barrier. Output is byte-identical either way.
-  unsigned launch_threads = 1;
-  /// Speculation window override (LaunchConfig::launch_window_cycles);
-  /// 0 = default.
-  std::uint64_t launch_window_cycles = 0;
 };
 
 /// The per-team entry point, run by the team's initial thread only (the

@@ -53,8 +53,7 @@ class ThreadPool {
   /// workers until its batch is done. Progress is guaranteed even when
   /// every worker is busy (or the pool is the caller's own): the caller
   /// itself runs whatever is still queued. This is the nested-submission
-  /// path — a sweep worker fanning an intra-launch shard batch into a pool
-  /// must use it. Validation and exception semantics match RunAll.
+  /// path — a pool job that itself fans work out into a pool must use it. Validation and exception semantics match RunAll.
   Status RunAllParticipating(std::vector<std::function<void()>> jobs);
 
  private:

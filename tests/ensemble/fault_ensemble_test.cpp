@@ -353,31 +353,6 @@ TEST(FaultSweep, InjectedSweepIsByteIdenticalForAnyJobCount) {
   EXPECT_NE(serial.find(",0,,"), std::string::npos);  // skipped points present
 }
 
-TEST(FaultSweep, LaunchThreadCountNeverChangesInjectedOutcomes) {
-  // Fault plans consume injection state in commit order. Launches with a
-  // plan installed still run the threaded engine — only turns with a
-  // pending trap site for their (block, warp) serialize (trap-site-aware
-  // Warp::CanSpeculate) — so the plan's consumption order is exactly the
-  // serial one. The contract this pins: thread count is invisible in
-  // every injected outcome — which points ran, the notes, and the CSV.
-  auto run_with_launch_threads = [](unsigned launch_threads) {
-    ExperimentConfig cfg = FaultSweepConfig();
-    cfg.launch_threads = launch_threads;
-    auto series = MeasureSpeedup(cfg);
-    EXPECT_TRUE(series.ok()) << series.status().ToString();
-    std::string digest = FormatSpeedupCsv({*series});
-    for (const auto& p : series->points) {
-      digest += StrFormat("|n=%u ran=%d note=%s", p.instances, int(p.ran),
-                          p.note.c_str());
-    }
-    return digest;
-  };
-  const std::string serial = run_with_launch_threads(1);
-  EXPECT_EQ(serial, run_with_launch_threads(2));
-  EXPECT_EQ(serial, run_with_launch_threads(8));
-  EXPECT_NE(serial.find("instance=3"), std::string::npos);
-}
-
 TEST(FaultSweep, RetryInSweepRecoversInjectedPoint) {
   ExperimentConfig cfg = FaultSweepConfig();
   cfg.max_attempts = 2;

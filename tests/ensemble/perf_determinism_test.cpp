@@ -51,10 +51,7 @@ std::vector<ExperimentConfig> SmallFig6aConfigs() {
   configs.push_back(rs);
 
   // Multi-warp leg: thread limit 64 puts two warps in every block, so the
-  // launch-threads matrix below also proves the earliest-block-event
-  // speculation rule (barriers, shared memory, sibling-warp state) renders
-  // byte-identical output — the configuration that used to fall back to
-  // the serial engine.
+  // panel also covers block barriers, shared memory and sibling warps.
   ExperimentConfig amg;
   amg.app = "amgmk";
   amg.args_for_instance = [](std::uint32_t i) {
@@ -74,17 +71,12 @@ struct PanelRender {
   std::vector<std::string> sidecars;  ///< dgc-metrics-v1 per ran point
 };
 
-PanelRender RunPanel(std::uint32_t jobs, bool fast_path,
-                     unsigned launch_threads = 1) {
+PanelRender RunPanel(std::uint32_t jobs, bool fast_path) {
   apps::RegisterAllApps();
   const bool was = sim::SetCoalesceFastPath(fast_path);
   SweepOptions options;
   options.jobs = jobs;
-  auto configs = SmallFig6aConfigs();
-  for (ExperimentConfig& config : configs) {
-    config.launch_threads = launch_threads;
-  }
-  auto series = RunSweeps(configs, options);
+  auto series = RunSweeps(SmallFig6aConfigs(), options);
   sim::SetCoalesceFastPath(was);
   EXPECT_TRUE(series.ok()) << series.status().ToString();
   PanelRender render;
@@ -128,34 +120,6 @@ TEST(PerfDeterminism, ScalarPathUnderParallelJobsStillIdentical) {
   ASSERT_EQ(reference.sidecars.size(), crossed.sidecars.size());
   for (std::size_t i = 0; i < reference.sidecars.size(); ++i) {
     EXPECT_EQ(reference.sidecars[i], crossed.sidecars[i]) << "sidecar " << i;
-  }
-}
-
-TEST(PerfDeterminism, LaunchThreadsMatrixIsByteIdentical) {
-  // The intra-launch sharding axis, crossed with sweep-level parallelism
-  // and both coalescer implementations: --launch-threads {1,2,8} x
-  // --jobs {1,8} x {fast,scalar} must all render the reference CSV and
-  // dgc-metrics-v1 sidecars byte for byte. This is the tentpole's
-  // acceptance bar — the speculate-then-commit engine may only change
-  // wall-clock, never output.
-  const PanelRender reference =
-      RunPanel(/*jobs=*/1, /*fast_path=*/true, /*launch_threads=*/1);
-  ASSERT_FALSE(reference.sidecars.empty());
-  for (const unsigned launch_threads : {2u, 8u}) {
-    for (const std::uint32_t jobs : {1u, 8u}) {
-      for (const bool fast_path : {true, false}) {
-        const PanelRender cell = RunPanel(jobs, fast_path, launch_threads);
-        const std::string label =
-            StrFormat("launch_threads=%u jobs=%u %s", launch_threads, jobs,
-                      fast_path ? "fast" : "scalar");
-        EXPECT_EQ(reference.csv, cell.csv) << label;
-        ASSERT_EQ(reference.sidecars.size(), cell.sidecars.size()) << label;
-        for (std::size_t i = 0; i < reference.sidecars.size(); ++i) {
-          EXPECT_EQ(reference.sidecars[i], cell.sidecars[i])
-              << label << " sidecar " << i;
-        }
-      }
-    }
   }
 }
 

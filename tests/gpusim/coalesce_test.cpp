@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "gpusim/stats.h"
 #include "support/rng.h"
 
 namespace dgc::sim {
@@ -40,6 +41,19 @@ TEST(Coalesce, StridedAccessesExplode) {
 TEST(Coalesce, SameAddressBroadcast) {
   std::vector<LaneAccess> accesses(32, LaneAccess{0x10008, 4});
   EXPECT_EQ(Sectors(accesses).size(), 1u);
+}
+
+TEST(Coalesce, BroadcastIdealExceedsGlobalSoEfficiencyIsAboveOne) {
+  // ideal_sectors counts requested bytes, not touched bytes: 32 lanes
+  // loading one double request 256 bytes (8 sectors) but touch 1 sector.
+  std::vector<LaneAccess> accesses(32, LaneAccess{0x10000, 8});
+  LaunchStats stats;
+  stats.global_sectors = Sectors(accesses).size();
+  stats.ideal_sectors = IdealSectorCount(accesses, kSector);
+  EXPECT_EQ(stats.global_sectors, 1u);
+  EXPECT_EQ(stats.ideal_sectors, 8u);
+  EXPECT_GT(stats.ideal_sectors, stats.global_sectors);
+  EXPECT_DOUBLE_EQ(stats.CoalescingEfficiency(), 8.0);
 }
 
 TEST(Coalesce, StraddlingAccessCoversTwoSectors) {

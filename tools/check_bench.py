@@ -4,14 +4,10 @@
 Usage:
     check_bench.py BASELINE_JSON RESULT_JSON [--key release_lto]
                    [--tolerance PCT] [--benchmark NAME]
-    check_bench.py BASELINE_JSON RESULT_JSON \
-        --ratio-benchmark BM_EnsembleLaunchXsbenchThreaded --ratio-max 1.10
     check_bench.py BASELINE_JSON RESULT_JSON --key amgmk_release_lto \
-        --benchmark BM_EnsembleLaunchAmgmk \
-        --ratio-benchmark BM_EnsembleLaunchAmgmkThreaded --ratio-max 1.10
+        --benchmark BM_EnsembleLaunchAmgmk
 
-Both gates echo the baseline's `capture_host_cores` so single-core-capture
-ratio waivers are visible in every gate log.
+Every gate log echoes the baseline's `capture_host_cores`.
 
 BASELINE_JSON is the repo's BENCH_sim_speed.json (schema dgc-bench-v1).
 RESULT_JSON is `micro_benchmarks --benchmark_format=json` output; aggregate
@@ -25,15 +21,6 @@ re-pinned — a drifting baseline silently widens the window a real
 regression can hide in. Exit code is 1 if any point is out of tolerance,
 else 0. Pass --allow-faster to accept improvements without failing (e.g.
 on a one-off machine faster than the pinned reference).
-
---ratio-benchmark gates a second benchmark RELATIVE to the baseline
-benchmark within the SAME result file, point by point: measured ratio
-(ratio_benchmark / baseline_benchmark) must stay <= --ratio-max. This is
-how the threaded launch engine is gated: absolute times vary wildly
-across runner hardware, but the ratio contract is host-aware — CI passes
-a ratio-max below 1.0 on multi-core runners (the overlap must win) and a
-small tolerance above 1.0 on single-core runners, where SpecTeam spawns
-no workers and the windowed engine may only cost bounded overhead.
 """
 
 import argparse
@@ -72,42 +59,14 @@ def load_results(path, bench_name):
 def describe_capture_host(base_doc):
     """One line documenting the baseline capture host's core count.
 
-    The committed threaded-vs-serial ratios are only meaningful relative
-    to the parallelism of the machine that produced them (a single-core
-    capture can only pin the degradation bound); echoing the count makes
-    every gate log self-documenting instead of relying on the `note`.
+    Launch times depend on the machine that produced them; echoing the
+    count makes every gate log self-documenting instead of relying on the
+    `note`.
     """
     cores = base_doc.get("capture_host_cores")
     if cores is None:
         return "baseline capture host cores: unrecorded (pre-v10 baseline)"
     return f"baseline captured on a {int(cores)}-core host"
-
-
-def ratio_gate(args, bench_name, serial_results, base_doc):
-    """Point-by-point relative gate: ratio benchmark vs baseline benchmark."""
-    ratio_results = load_results(args.results, args.ratio_benchmark)
-    if not ratio_results:
-        sys.exit(f"error: no '{args.ratio_benchmark}' rows in {args.results}")
-    print(f"{args.ratio_benchmark} vs {bench_name} in {args.results} "
-          f"(max ratio {args.ratio_max:.2f}; {describe_capture_host(base_doc)})")
-    failed = []
-    for arg in sorted(ratio_results, key=int):
-        if arg not in serial_results:
-            print(f"  /{arg}: no matching {bench_name} point, skipped")
-            continue
-        ratio = ratio_results[arg] / serial_results[arg]
-        verdict = "ok" if ratio <= args.ratio_max else "FAIL"
-        if ratio > args.ratio_max:
-            failed.append(arg)
-        print(f"  /{arg}: serial={serial_results[arg]:.2f}ms "
-              f"threaded={ratio_results[arg]:.2f}ms ratio={ratio:.3f} "
-              f"{verdict}")
-    if failed:
-        print(f"FAIL: {len(failed)} point(s) above ratio "
-              f"{args.ratio_max:.2f}: {', '.join('/' + a for a in failed)}")
-        return 1
-    print("PASS")
-    return 0
 
 
 def main():
@@ -128,13 +87,6 @@ def main():
                     help="report out-of-tolerance improvements without "
                          "failing (default: fail so the baseline is "
                          "re-pinned)")
-    ap.add_argument("--ratio-benchmark", default=None,
-                    help="gate this benchmark's time relative to the "
-                         "baseline benchmark in the same result file "
-                         "instead of against the pinned table")
-    ap.add_argument("--ratio-max", type=float, default=1.0,
-                    help="maximum allowed (ratio benchmark / baseline "
-                         "benchmark) per point (default: %(default)s)")
     args = ap.parse_args()
 
     with open(args.baseline) as f:
@@ -149,9 +101,6 @@ def main():
     results = load_results(args.results, bench_name)
     if not results:
         sys.exit(f"error: no '{bench_name}' rows in {args.results}")
-
-    if args.ratio_benchmark:
-        return ratio_gate(args, bench_name, results, base_doc)
 
     regressed = []
     stale = []

@@ -10,7 +10,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/common.h"
@@ -184,8 +183,6 @@ int RunSweepMode(const std::string& app,
   std::string inject;
   std::int64_t watchdog = 0, instance_watchdog = 0;
   std::int64_t retry = 1, retry_shrink = 2;
-  std::int64_t launch_threads = 1;
-  std::int64_t launch_window = 0;
   std::string share_data = "on";
   ArgParser parser("ensemble sweep (Fig. 6 methodology)");
   parser.AddString("file", 'f', "command line arguments file", &file,
@@ -206,15 +203,7 @@ int RunSweepMode(const std::string& app,
       .AddString("share-data", 0,
                  "share read-only input data across identical instances "
                  "(on|off, default on)",
-                 &share_data)
-      .AddInt("launch-threads", 0,
-              "host threads simulating each launch (deterministic; 1 = "
-              "serial)",
-              &launch_threads)
-      .AddInt("launch-window", 0,
-              "speculation window in cycles for the threaded engine "
-              "(0 = engine default; any value is byte-identical)",
-              &launch_window);
+                 &share_data);
   const Status parsed = parser.Parse(loader_args);
   if (!parsed.ok()) {
     std::fprintf(stderr, "dgc-run: %s\n", parsed.ToString().c_str());
@@ -225,8 +214,7 @@ int RunSweepMode(const std::string& app,
     return 2;
   }
   if (threads <= 0 || per_block <= 0 || watchdog < 0 ||
-      instance_watchdog < 0 || retry <= 0 || retry_shrink < 0 ||
-      launch_threads <= 0 || launch_window < 0) {
+      instance_watchdog < 0 || retry <= 0 || retry_shrink < 0) {
     std::fprintf(stderr, "dgc-run: counts must be positive\n");
     return 2;
   }
@@ -270,8 +258,6 @@ int RunSweepMode(const std::string& app,
   cfg.max_attempts = std::uint32_t(retry);
   cfg.retry_shrink = std::uint32_t(retry_shrink);
   cfg.share_data = share_data == "on";
-  cfg.launch_threads = unsigned(launch_threads);
-  cfg.launch_window_cycles = std::uint64_t(launch_window);
   cfg.profile = profile || !metrics_prefix.empty();
   cfg.profile_interval = profile_interval;
 
@@ -356,17 +342,7 @@ int main(int argc, char** argv) {
         "                 (default 2)\n"
         "  --share-data <on|off>  share read-only input segments across\n"
         "                 instances with identical workloads (default on;\n"
-        "                 off reproduces the duplicated per-instance layout)\n"
-        "  --launch-threads <n>  host threads simulating each launch wave\n"
-        "                 (default 1 = serial engine). Deterministic: stats,\n"
-        "                 metrics JSON, and traces are byte-identical for\n"
-        "                 every value. Multi-warp blocks speculate too; with\n"
-        "                 --inject only turns at a pending trap site\n"
-        "                 serialize. Clamped to the device SM count and the\n"
-        "                 host's hardware threads\n"
-        "  --launch-window <cycles>  speculation window for the threaded\n"
-        "                 engine (0 = engine default, 2048); any value\n"
-        "                 yields byte-identical output\n\n"
+        "                 off reproduces the duplicated per-instance layout)\n\n"
         "tool options (must precede the loader options):\n"
         "  --device <d>   a100 (default), v100, or test\n"
         "  --memory-scale <n>  capacity scale divisor (default 512)\n"
@@ -483,53 +459,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Same up-front treatment for the threaded-engine knobs: they are loader
-  // options, but a bad count should be a usage error before any work runs.
-  std::int64_t launch_threads_requested = 0;
-  for (std::size_t i = 0; i + 1 < loader_args.size(); ++i) {
-    if (loader_args[i] == "--launch-threads") {
-      auto v = ParseInt(loader_args[i + 1]);
-      if (!v.ok() || *v < 1) {
-        std::fprintf(stderr,
-                     "dgc-run: bad --launch-threads '%s'\n"
-                     "usage: --launch-threads <n> with n >= 1 "
-                     "(1 = serial engine)\n",
-                     loader_args[i + 1].c_str());
-        return 2;
-      }
-      launch_threads_requested = *v;
-    } else if (loader_args[i] == "--launch-window") {
-      auto v = ParseInt(loader_args[i + 1]);
-      if (!v.ok() || *v < 0) {
-        std::fprintf(stderr,
-                     "dgc-run: bad --launch-window '%s'\n"
-                     "usage: --launch-window <cycles> with cycles >= 0 "
-                     "(0 = engine default)\n",
-                     loader_args[i + 1].c_str());
-        return 2;
-      }
-    }
-  }
-
   auto spec = PickDevice(device_name, memory_scale);
   if (!spec.ok()) {
     std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
     return 2;
-  }
-  // Output is byte-identical for any thread count, so clamping is a
-  // perf-only surprise — worth one line so a benchmarking user is not left
-  // wondering why 32 threads perform like 4.
-  if (launch_threads_requested > 1) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    const unsigned cap = std::min(unsigned(spec->num_sms),
-                                  hw != 0 ? hw : unsigned(spec->num_sms));
-    if (std::uint64_t(launch_threads_requested) > cap) {
-      std::fprintf(stderr,
-                   "dgc-run: note: --launch-threads %lld clamped to %u "
-                   "(device has %d SMs, host reports %u hardware threads)\n",
-                   (long long)launch_threads_requested, cap, spec->num_sms,
-                   hw);
-    }
   }
   if (!sweep_counts.empty()) {
     return RunSweepMode(app, loader_args, sweep_counts, jobs, csv_path, *spec,
