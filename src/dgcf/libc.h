@@ -32,6 +32,7 @@ class DeviceLibc {
   /// plan->NextMallocFails() and fails (null buffer) when it says so, as if
   /// the heap were exhausted. nullptr turns injection off.
   void set_fault_plan(sim::FaultPlan* plan) { faults_ = plan; }
+  sim::FaultPlan* fault_plan() const { return faults_; }
 
   /// Device-side malloc: charges the allocation cost and returns the
   /// buffer, or a null buffer (host == nullptr) on out-of-memory — the

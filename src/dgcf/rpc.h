@@ -33,6 +33,7 @@ class RpcHost {
   /// latency but the handler performs no work and the device sees -1 (the
   /// errno-style failure return of every service). nullptr turns it off.
   void set_fault_plan(sim::FaultPlan* plan) { faults_ = plan; }
+  sim::FaultPlan* fault_plan() const { return faults_; }
 
   // --- Device-side services (call from kernels with co_await) --------------
 

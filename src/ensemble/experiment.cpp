@@ -5,9 +5,7 @@
 #include <mutex>
 
 #include "dgcf/libc.h"
-#include "dgcf/loader.h"
 #include "dgcf/rpc.h"
-#include "ensemble/loader.h"
 #include "ensemble/metrics.h"
 #include "gpusim/device.h"
 #include "gpusim/profiler.h"
@@ -47,13 +45,9 @@ Status RunPoint(const ExperimentConfig& config, std::uint32_t n,
   for (std::uint32_t i = 0; i < n; ++i) {
     options.instance_args.push_back(config.args_for_instance(i));
   }
+  static_cast<LaunchPolicy&>(options) = config;
   options.thread_limit = config.thread_limit;
   options.teams_per_block = config.teams_per_block;
-  options.watchdog_cycles = config.watchdog_cycles;
-  options.instance_watchdog_cycles = config.instance_watchdog_cycles;
-  options.max_attempts = config.max_attempts;
-  options.retry_shrink = config.retry_shrink;
-  options.share_data = config.share_data;
 
   // Profiling is point-local (like the device): the profiler only observes
   // this simulation, so sidecars cannot depend on job scheduling.
@@ -71,8 +65,6 @@ Status RunPoint(const ExperimentConfig& config, std::uint32_t n,
   if (!config.inject_spec.empty()) {
     DGC_ASSIGN_OR_RETURN(plan, sim::FaultPlan::Parse(config.inject_spec));
     options.faults = &plan;
-    libc.set_fault_plan(&plan);
-    rpc.set_fault_plan(&plan);
   }
 
   auto run = RunEnsemble(env, options);

@@ -16,13 +16,16 @@
 #include <string>
 #include <vector>
 
+#include "ensemble/loader.h"
 #include "gpusim/device_spec.h"
 #include "gpusim/stats.h"
 #include "support/status.h"
 
 namespace dgc::ensemble {
 
-struct ExperimentConfig {
+/// The LaunchPolicy base is every point's policy. share_data stays off by
+/// default, so fig6a/fig6b keep the duplicated per-instance layout.
+struct ExperimentConfig : LaunchPolicy {
   std::string app;
   /// Builds instance i's argv[1..] — each instance runs on a different
   /// input, as ensembles do.
@@ -36,22 +39,12 @@ struct ExperimentConfig {
   /// counters, so sharing one across concurrently-running points would make
   /// the sweep depend on --jobs. "" = no injection.
   std::string inject_spec;
-  /// Fault-tolerance knobs forwarded to EnsembleOptions (same semantics).
-  std::uint64_t watchdog_cycles = 0;           ///< 0 = device default
-  std::uint64_t instance_watchdog_cycles = 0;  ///< 0 = off
-  std::uint32_t max_attempts = 1;
-  std::uint32_t retry_shrink = 2;
   /// Profile every point: each point runs under its own Profiler and fills
   /// SpeedupPoint::metrics_json (the --metrics-json sidecar). Profiling is
   /// deterministic, so sidecars stay byte-identical for any --jobs value.
   bool profile = false;
   /// Timeline sample interval when profiling; 0 = the Profiler default.
   std::uint64_t profile_interval = 0;
-  /// Share read-only input segments across instances with identical
-  /// workloads (EnsembleOptions::share_data). Off by default so existing
-  /// harness binaries (fig6a/fig6b) keep the duplicated per-instance
-  /// layout byte-for-byte.
-  bool share_data = false;
 };
 
 /// Progress of one sweep point, reported as it starts and finishes so long

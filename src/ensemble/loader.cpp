@@ -32,6 +32,41 @@ bool TeamIntact(const ompx::TeamCtx& team) {
          team.state->phase == ompx::TeamState::Phase::kIdle;
 }
 
+/// Points a DeviceLibc's or RpcHost's fault plan at `plan` for the guard's
+/// lifetime and restores the previous plan on destruction. A null plan or
+/// target leaves the target untouched.
+template <typename Target>
+class ScopedFaultPlan {
+ public:
+  ScopedFaultPlan(Target* target, sim::FaultPlan* plan)
+      : target_(plan != nullptr ? target : nullptr) {
+    if (target_ == nullptr) return;
+    previous_ = target_->fault_plan();
+    target_->set_fault_plan(plan);
+  }
+  ~ScopedFaultPlan() {
+    if (target_ != nullptr) target_->set_fault_plan(previous_);
+  }
+  ScopedFaultPlan(const ScopedFaultPlan&) = delete;
+  ScopedFaultPlan& operator=(const ScopedFaultPlan&) = delete;
+
+ private:
+  Target* target_;
+  sim::FaultPlan* previous_ = nullptr;
+};
+
+/// Narrows a parsed integer flag to its uint32 field: a value below `min`
+/// or above UINT32_MAX is a usage error, never a silent wrap.
+StatusOr<std::uint32_t> FlagU32(const char* flag, std::int64_t value,
+                                std::int64_t min) {
+  if (value < min || value > std::int64_t(UINT32_MAX)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  StrFormat("%s must be in %lld..%u, got %lld", flag,
+                            (long long)min, UINT32_MAX, (long long)value));
+  }
+  return std::uint32_t(value);
+}
+
 }  // namespace
 
 StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
@@ -78,6 +113,11 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
     return Status(ErrorCode::kInvalidArgument,
                   "more teams than instances is wasteful; reduce --teams");
   }
+
+  // Heap and RPC faults come from the same plan as trap sites; the guards
+  // restore the previous plans however the run ends.
+  ScopedFaultPlan libc_faults(env.libc, options.faults);
+  ScopedFaultPlan rpc_faults(env.rpc, options.faults);
 
   // Attach the sanitizer before any device state is built so the argument
   // block and app buffers enter the shadow map with exact bounds.
@@ -298,12 +338,9 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
   return run;
 }
 
-StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
-                                         const std::string& app,
-                                         const std::vector<std::string>& argv,
-                                         sim::Trace* trace,
-                                         sim::Memcheck* memcheck,
-                                         sim::Profiler* profiler) {
+StatusOr<EnsembleCli> ParseEnsembleCli(const std::string& app,
+                                       const std::vector<std::string>& argv,
+                                       bool with_counts) {
   std::string file;
   std::int64_t instances = 0, threads = 1024, teams = 0, per_block = 1;
   std::int64_t seed = 0;
@@ -314,11 +351,14 @@ StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
   std::string share_data = "on";
   ArgParser parser("GPU ensemble loader (paper Fig. 5c)");
   parser.AddString("file", 'f', "command line arguments file", &file,
-                   /*required=*/true)
-      .AddInt("num-instances", 'n', "instances to launch simultaneously",
-              &instances)
-      .AddInt("thread-limit", 't', "max threads per instance", &threads)
-      .AddInt("teams", 0, "teams (default: one per instance)", &teams)
+                   /*required=*/true);
+  if (with_counts) {
+    parser
+        .AddInt("num-instances", 'n', "instances to launch simultaneously",
+                &instances)
+        .AddInt("teams", 0, "teams (default: one per instance)", &teams);
+  }
+  parser.AddInt("thread-limit", 't', "max threads per instance", &threads)
       .AddInt("teams-per-block", 'm', "instances per thread block (§3.1)",
               &per_block)
       .AddFlag("script", 0, "treat the file as an argument script", &script)
@@ -341,41 +381,32 @@ StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
     return Status(ErrorCode::kInvalidArgument,
                   "--share-data must be 'on' or 'off'");
   }
-  if (instances < 0 || threads <= 0 || teams < 0 || per_block <= 0) {
+  if (watchdog < 0 || instance_watchdog < 0) {
     return Status(ErrorCode::kInvalidArgument,
-                  "counts must be positive (instances/teams may be omitted)");
-  }
-  if (watchdog < 0 || instance_watchdog < 0 || retry <= 0 ||
-      retry_shrink < 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "--watchdog/--instance-watchdog must be >= 0 and "
-                  "--retry must be positive");
+                  "--watchdog/--instance-watchdog must be >= 0");
   }
 
-  EnsembleOptions options;
+  EnsembleCli cli;
+  EnsembleOptions& options = cli.options;
   options.app = app;
-  options.num_instances = std::uint32_t(instances);
-  options.thread_limit = std::uint32_t(threads);
-  options.num_teams = std::uint32_t(teams);
-  options.teams_per_block = std::uint32_t(per_block);
-  options.trace = trace;
-  options.memcheck = memcheck;
-  options.profiler = profiler;
+  DGC_ASSIGN_OR_RETURN(options.num_instances, FlagU32("-n", instances, 0));
+  DGC_ASSIGN_OR_RETURN(options.thread_limit, FlagU32("-t", threads, 1));
+  DGC_ASSIGN_OR_RETURN(options.num_teams, FlagU32("--teams", teams, 0));
+  DGC_ASSIGN_OR_RETURN(options.teams_per_block, FlagU32("-m", per_block, 1));
+  DGC_ASSIGN_OR_RETURN(options.max_attempts, FlagU32("--retry", retry, 1));
+  DGC_ASSIGN_OR_RETURN(options.retry_shrink,
+                       FlagU32("--retry-shrink", retry_shrink, 0));
   options.watchdog_cycles = std::uint64_t(watchdog);
   options.instance_watchdog_cycles = std::uint64_t(instance_watchdog);
-  options.max_attempts = std::uint32_t(retry);
-  options.retry_shrink = std::uint32_t(retry_shrink);
   options.share_data = share_data == "on";
 
-  // Validate (and build) the fault plan before touching the argument file:
-  // a bad --inject spec is a usage error and must fail before any work. A
-  // fresh plan per run keeps count-based faults deterministic; it is wired
-  // into the heap and the RPC ring below and detached before it goes out of
-  // scope.
-  sim::FaultPlan plan;
-  if (!inject.empty()) {
-    DGC_ASSIGN_OR_RETURN(plan, sim::FaultPlan::Parse(inject));
+  // A bad --inject spec must fail before any work, the file read included.
+  if (auto plan = sim::FaultPlan::Parse(inject); !plan.ok()) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "bad --inject spec: " + plan.status().message() +
+                      " (see docs/MODEL.md, Failure semantics)");
   }
+  cli.inject = inject;
 
   if (script) {
     std::ifstream in(file, std::ios::binary);
@@ -389,18 +420,42 @@ StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
   } else {
     DGC_ASSIGN_OR_RETURN(options.instance_args, LoadArgumentFile(file));
   }
+  return cli;
+}
 
-  if (!inject.empty()) {
-    options.faults = &plan;
-    if (env.libc != nullptr) env.libc->set_fault_plan(&plan);
-    if (env.rpc != nullptr) env.rpc->set_fault_plan(&plan);
+StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env, EnsembleCli cli) {
+  // A fresh plan per run keeps count-based faults deterministic.
+  sim::FaultPlan plan;
+  if (!cli.inject.empty()) {
+    DGC_ASSIGN_OR_RETURN(plan, sim::FaultPlan::Parse(cli.inject));
+    cli.options.faults = &plan;
   }
-  auto run = RunEnsemble(env, options);
-  if (!inject.empty()) {
-    if (env.libc != nullptr) env.libc->set_fault_plan(nullptr);
-    if (env.rpc != nullptr) env.rpc->set_fault_plan(nullptr);
-  }
-  return run;
+  return RunEnsemble(env, cli.options);
+}
+
+StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
+                                         const std::string& app,
+                                         const std::vector<std::string>& argv) {
+  DGC_ASSIGN_OR_RETURN(EnsembleCli cli, ParseEnsembleCli(app, argv));
+  return RunEnsembleCli(env, std::move(cli));
 }
 
 }  // namespace dgc::ensemble
+
+namespace dgc::dgcf {
+
+StatusOr<RunResult> RunSingleInstance(AppEnv& env,
+                                      const SingleRunOptions& options) {
+  ensemble::EnsembleOptions one;
+  one.app = options.app;
+  one.instance_args = {options.args};
+  one.thread_limit = options.thread_limit;
+  one.memcheck = options.memcheck;
+  one.faults = options.faults;
+  one.watchdog_cycles = options.watchdog_cycles;
+  one.profiler = options.profiler;
+  one.share_data = options.share_data;
+  return ensemble::RunEnsemble(env, one);
+}
+
+}  // namespace dgc::dgcf

@@ -7,7 +7,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "support/status.h"
 #include "support/units.h"
 
 namespace dgc::sim {
@@ -72,6 +74,11 @@ struct DeviceSpec {
   static DeviceSpec V100_16GB(std::uint32_t memory_scale = 64);
   /// Tiny device for unit tests: 2 SMs, small caches, fast to simulate.
   static DeviceSpec TestDevice();
+  /// The preset a front end names on its command line: "a100", "v100" or
+  /// "test" (which ignores the scale). kInvalidArgument for an unknown name
+  /// or a `memory_scale` outside 1..UINT32_MAX.
+  static StatusOr<DeviceSpec> FromName(std::string_view name,
+                                       std::int64_t memory_scale);
 
   /// Warps needed for `threads` threads.
   int WarpsPerBlock(int threads) const {

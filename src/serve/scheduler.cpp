@@ -4,7 +4,6 @@
 
 #include "dgcf/app.h"
 #include "dgcf/libc.h"
-#include "dgcf/loader.h"
 #include "dgcf/rpc.h"
 #include "ensemble/loader.h"
 #include "ensemble/metrics.h"
@@ -466,14 +465,10 @@ bool Scheduler::StartOneLaunch(std::uint32_t s) {
     fl->probe = probe;
 
     ensemble::EnsembleOptions& options = fl->options;
+    static_cast<ensemble::LaunchPolicy&>(options) = config_;
     options.app = app;
     options.thread_limit = config_.thread_limit;
     options.teams_per_block = config_.teams_per_block;
-    options.max_attempts = config_.launch_attempts;
-    options.retry_shrink = config_.retry_shrink;
-    options.watchdog_cycles = config_.watchdog_cycles;
-    options.instance_watchdog_cycles = config_.instance_watchdog_cycles;
-    options.share_data = config_.share_data;
 
     std::vector<std::uint64_t> budgets(batch.size(), 0);
     bool any_budget = false;

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "ensemble/loader.h"
 #include "serve/admission.h"
 #include "serve/chaos.h"
 #include "serve/job.h"
@@ -41,13 +42,11 @@
 #include "support/status.h"
 #include "support/thread_pool.h"
 
-namespace dgc::dgcf {
-struct RunResult;
-}  // namespace dgc::dgcf
-
 namespace dgc::serve {
 
-struct ServeConfig {
+/// The LaunchPolicy base is every launch's policy (its retries are waves
+/// within a launch; `retry` is the service-level policy).
+struct ServeConfig : ensemble::LaunchPolicy {
   sim::DeviceSpec spec;            ///< one spec shared by every device slot
   std::uint32_t thread_limit = 128;
   std::uint32_t teams_per_block = 1;
@@ -57,12 +56,6 @@ struct ServeConfig {
   AdmissionConfig admission;
   RetryPolicy retry;
   CircuitBreaker::Config breaker;
-  /// Within-launch retry waves (EnsembleOptions::max_attempts/retry_shrink).
-  std::uint32_t launch_attempts = 1;
-  std::uint32_t retry_shrink = 2;
-  std::uint64_t watchdog_cycles = 0;          ///< per-launch budget (0=spec)
-  std::uint64_t instance_watchdog_cycles = 0; ///< per-instance cap (0=off)
-  bool share_data = false;
   ChaosPlan chaos;
   /// Deterministic drain point in service cycles (0 = none): the scripted
   /// stand-in for SIGTERM in replayable runs.

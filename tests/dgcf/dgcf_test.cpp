@@ -1,11 +1,12 @@
 // Tests for the direct-GPU-compilation framework: app registry, host RPC,
-// device libc, argv marshalling, and the single-instance (baseline) loader.
+// device libc and argv marshalling. The registry cases look up "testapp"
+// (testapp.cpp); the single-instance loader is tested with the ensemble
+// loader it wraps (tests/ensemble/single_loader_test.cpp).
 #include <gtest/gtest.h>
 
 #include "dgcf/app.h"
 #include "dgcf/argv.h"
 #include "dgcf/libc.h"
-#include "dgcf/loader.h"
 #include "dgcf/rpc.h"
 #include "ompx/league.h"
 #include "support/str.h"
@@ -17,7 +18,6 @@ using ompx::TeamCtx;
 using sim::Device;
 using sim::DeviceSpec;
 using sim::DeviceTask;
-using sim::ThreadCtx;
 
 struct Env {
   Device device{DeviceSpec::TestDevice()};
@@ -25,54 +25,6 @@ struct Env {
   DeviceLibc libc{device};
   AppEnv app_env{&device, &rpc, &libc};
 };
-
-// A miniature "legacy CPU application": parses -n <count> and -x <value>,
-// device-mallocs a vector, fills it in parallel, reduces, prints the total,
-// and returns 0 (or a usage / OOM error).
-DeviceTask<int> TestAppMain(AppEnv& env, TeamCtx& team, int argc,
-                            DeviceArgv argv) {
-  std::uint64_t n = 0;
-  double x = 1.0;
-  for (int i = 1; i < argc; ++i) {
-    if (DeviceLibc::StrCmp(argv[i], "-n") == 0 && i + 1 < argc) {
-      n = std::uint64_t(std::strtoll(DeviceLibc::ToString(argv[++i]).c_str(),
-                                     nullptr, 10));
-    } else if (DeviceLibc::StrCmp(argv[i], "-x") == 0 && i + 1 < argc) {
-      x = std::strtod(DeviceLibc::ToString(argv[++i]).c_str(), nullptr);
-    } else {
-      co_return kExitUsage;
-    }
-  }
-  if (n == 0) co_return kExitUsage;
-
-  sim::DeviceBuffer buf =
-      co_await env.libc->Malloc(*team.hw, n * sizeof(double));
-  if (buf.host == nullptr) co_return kExitNoMem;
-  auto p = buf.Typed<double>();
-
-  co_await ompx::ParallelFor(
-      team, n, [&](ThreadCtx& ctx, std::uint64_t i) -> DeviceTask<void> {
-        co_await ctx.Store(p + i, x);
-      });
-
-  double sum = 0;
-  co_await ompx::Parallel(
-      team, [&](ThreadCtx&, std::uint32_t rank,
-                std::uint32_t size) -> DeviceTask<void> {
-        double local = 0;
-        for (std::uint64_t i = rank; i < n; i += size) {
-          local += co_await team.hw->Load(p + i);
-        }
-        const double total = co_await ompx::TeamReduceSum(team, local);
-        if (rank == 0) sum = total;
-      });
-
-  co_await env.rpc->Print(*team.hw, StrFormat("sum=%.1f\n", sum));
-  co_await env.libc->Free(*team.hw, buf.addr);
-  co_return kExitOk;
-}
-
-DGC_REGISTER_APP(testapp, "fill-and-reduce smoke app", TestAppMain)
 
 TEST(AppRegistry, FindRegisteredApp) {
   auto app = AppRegistry::Instance().Find("testapp");
@@ -214,89 +166,6 @@ TEST(DeviceLibc, StringHelpers) {
   EXPECT_LT(DeviceLibc::StrCmp(p, "-x"), 0);
   EXPECT_GT(DeviceLibc::StrCmp(p, "-a"), 0);
   EXPECT_EQ(DeviceLibc::ToString(p), "-n");
-}
-
-TEST(SingleLoader, RunsAppEndToEnd) {
-  Env env;
-  SingleRunOptions opt;
-  opt.app = "testapp";
-  opt.args = {"-n", "500", "-x", "2.0"};
-  opt.thread_limit = 64;
-  auto run = RunSingleInstance(env.app_env, opt);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  ASSERT_EQ(run->instances.size(), 1u);
-  EXPECT_TRUE(run->instances[0].completed);
-  EXPECT_EQ(run->instances[0].exit_code, kExitOk);
-  EXPECT_EQ(env.rpc.stdout_text(), "sum=1000.0\n");
-  EXPECT_GT(run->kernel_cycles, 0u);
-  EXPECT_GT(run->transfer_cycles, 0u);
-  EXPECT_TRUE(run->all_ok());
-}
-
-TEST(SingleLoader, MemcheckCleanOnCorrectApp) {
-  Env env;
-  sim::Memcheck memcheck;
-  memcheck.Attach(env.device.memory());
-  SingleRunOptions opt;
-  opt.app = "testapp";
-  opt.args = {"-n", "500", "-x", "2.0"};
-  opt.thread_limit = 64;
-  opt.memcheck = &memcheck;
-  auto run = RunSingleInstance(env.app_env, opt);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_TRUE(run->all_ok());
-  EXPECT_TRUE(run->memcheck.clean()) << run->memcheck.ToString();
-  EXPECT_EQ(run->stats.memcheck_findings, 0u);
-}
-
-TEST(SingleLoader, UsageErrorSurfacesAsExitCode) {
-  Env env;
-  SingleRunOptions opt;
-  opt.app = "testapp";
-  opt.args = {"--bogus"};
-  opt.thread_limit = 32;
-  auto run = RunSingleInstance(env.app_env, opt);
-  ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->instances[0].completed);
-  EXPECT_EQ(run->instances[0].exit_code, kExitUsage);
-  EXPECT_FALSE(run->all_ok());
-}
-
-TEST(SingleLoader, OomSurfacesAsExitCode) {
-  Env env;
-  SingleRunOptions opt;
-  opt.app = "testapp";
-  // 64 MiB test device: ask for 100M doubles.
-  opt.args = {"-n", "100000000"};
-  opt.thread_limit = 32;
-  auto run = RunSingleInstance(env.app_env, opt);
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run->instances[0].exit_code, kExitNoMem);
-}
-
-TEST(SingleLoader, UnknownAppFails) {
-  Env env;
-  SingleRunOptions opt;
-  opt.app = "missing";
-  auto run = RunSingleInstance(env.app_env, opt);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), ErrorCode::kNotFound);
-}
-
-TEST(SingleLoader, ThreadLimitChangesParallelPerformance) {
-  Env env;
-  auto time_with = [&](std::uint32_t tl) {
-    SingleRunOptions opt;
-    opt.app = "testapp";
-    opt.args = {"-n", "20000"};
-    opt.thread_limit = tl;
-    auto run = RunSingleInstance(env.app_env, opt);
-    EXPECT_TRUE(run.ok());
-    return run->kernel_cycles;
-  };
-  const auto t1 = time_with(1);
-  const auto t64 = time_with(64);
-  EXPECT_GT(t1, t64);  // the parallel fill/reduce dominates
 }
 
 }  // namespace

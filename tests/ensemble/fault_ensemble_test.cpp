@@ -7,8 +7,8 @@
 #include <cstdlib>
 #include <set>
 
+#include "apps/common.h"
 #include "dgcf/libc.h"
-#include "dgcf/loader.h"
 #include "dgcf/rpc.h"
 #include "ensemble/experiment.h"
 #include "ensemble/loader.h"
@@ -93,7 +93,6 @@ EnsembleOptions MixedOptions() {
 TEST(FaultEnsemble, MixedOutcomesAreContainedPerInstance) {
   Env env;
   auto plan = *FaultPlan::Parse("malloc-fail@1");
-  env.libc.set_fault_plan(&plan);
   auto opt = MixedOptions();
   opt.faults = &plan;
   auto run = RunEnsemble(env.app_env, opt);
@@ -141,7 +140,6 @@ TEST(FaultEnsemble, MixedOutcomesAreContainedPerInstance) {
 TEST(FaultEnsemble, RetryRecoversTheOomInstanceOnASmallerWave) {
   Env env;
   auto plan = *FaultPlan::Parse("malloc-fail@1");
-  env.libc.set_fault_plan(&plan);
   auto opt = MixedOptions();
   opt.faults = &plan;
   opt.max_attempts = 2;
@@ -171,7 +169,6 @@ TEST(FaultEnsemble, RetryWaveLeavesFirstWaveSiblingsUntouched) {
   auto run_with = [](std::uint32_t attempts) {
     Env env;
     auto plan = *FaultPlan::Parse("malloc-fail@1");
-    env.libc.set_fault_plan(&plan);
     auto opt = MixedOptions();
     opt.faults = &plan;
     opt.max_attempts = attempts;
@@ -223,7 +220,6 @@ TEST(FaultEnsemble, AbortTrapsAreContainedAndAttributed) {
 TEST(FaultEnsemble, RpcFailureIsAnErrnoReturnNotACrash) {
   Env env;
   auto plan = *FaultPlan::Parse("rpc-fail@1");
-  env.rpc.set_fault_plan(&plan);
   EnsembleOptions opt;
   opt.app = "faultprobe";
   opt.instance_args = {{"-p"}};
@@ -243,7 +239,6 @@ TEST(FaultEnsemble, SameSeedSameResultsAcrossRuns) {
   auto run_once = [] {
     Env env;
     auto plan = *FaultPlan::Parse("seed@9;malloc-fail@1");
-    env.libc.set_fault_plan(&plan);
     auto opt = MixedOptions();
     opt.faults = &plan;
     opt.max_attempts = 2;
@@ -294,6 +289,25 @@ TEST(FaultSingle, WatchdogKillsAHungSingleInstance) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_FALSE(run->instances[0].completed);
   EXPECT_EQ(run->instances[0].reason, TerminationReason::kWatchdog);
+}
+
+TEST(FaultSingle, ContainedTrapIsFoldedIntoLaneTraps) {
+  // XSBench at thread limit 64 (two warps). The trap kills warp 0 of the
+  // only team: rank 0's trap is contained by the loader, its 31 sibling
+  // lanes die. The run's stats count every trap that fired — 32 — as
+  // `dgc-run -n 1` does.
+  apps::RegisterAllApps();
+  Env env;
+  auto plan = *FaultPlan::Parse("trap@b0.w0.c3000");
+  dgcf::SingleRunOptions opt{.app = "xsbench",
+                             .args = {"-i", "8", "-g", "64", "-l", "256"},
+                             .thread_limit = 64,
+                             .faults = &plan};
+  auto run = dgcf::RunSingleInstance(env.app_env, opt);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_FALSE(run->instances[0].completed);
+  EXPECT_EQ(run->instances[0].reason, TerminationReason::kTrapInjected);
+  EXPECT_EQ(run->stats.lane_traps, 32u);
 }
 
 TEST(FaultSingle, AllOkIsFalseForAnEmptyRun) {

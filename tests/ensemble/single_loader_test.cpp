@@ -1,0 +1,156 @@
+// The single-instance loader (dgcf::RunSingleInstance) — the T1 baseline,
+// which is the ensemble loader with one argument row. Besides the loader
+// contract, the plain runs of the four apps are pinned to digests captured
+// from the separate single-instance launch path this wrapper replaced: the
+// merge must not move a cycle, a counter or a byte of output.
+#include <gtest/gtest.h>
+
+#include <string_view>
+
+#include "apps/common.h"
+#include "dgcf/libc.h"
+#include "dgcf/rpc.h"
+#include "ensemble/loader.h"
+#include "gpusim/device.h"
+#include "gpusim/memcheck.h"
+#include "support/str.h"
+
+namespace dgc::dgcf {
+namespace {
+
+using sim::Device;
+using sim::DeviceSpec;
+
+struct Env {
+  Device device{DeviceSpec::TestDevice()};
+  RpcHost rpc{device};
+  DeviceLibc libc{device};
+  AppEnv app_env{&device, &rpc, &libc};
+};
+
+TEST(SingleLoader, RunsAppEndToEnd) {
+  Env env;
+  SingleRunOptions opt;
+  opt.app = "testapp";
+  opt.args = {"-n", "500", "-x", "2.0"};
+  opt.thread_limit = 64;
+  auto run = RunSingleInstance(env.app_env, opt);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->instances.size(), 1u);
+  EXPECT_TRUE(run->instances[0].completed);
+  EXPECT_EQ(run->instances[0].exit_code, kExitOk);
+  EXPECT_EQ(env.rpc.stdout_text(), "sum=1000.0\n");
+  EXPECT_GT(run->kernel_cycles, 0u);
+  EXPECT_GT(run->transfer_cycles, 0u);
+  EXPECT_TRUE(run->all_ok());
+}
+
+TEST(SingleLoader, MemcheckCleanOnCorrectApp) {
+  Env env;
+  sim::Memcheck memcheck;
+  memcheck.Attach(env.device.memory());
+  SingleRunOptions opt;
+  opt.app = "testapp";
+  opt.args = {"-n", "500", "-x", "2.0"};
+  opt.thread_limit = 64;
+  opt.memcheck = &memcheck;
+  auto run = RunSingleInstance(env.app_env, opt);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run->all_ok());
+  EXPECT_TRUE(run->memcheck.clean()) << run->memcheck.ToString();
+  EXPECT_EQ(run->stats.memcheck_findings, 0u);
+}
+
+TEST(SingleLoader, UsageErrorSurfacesAsExitCode) {
+  Env env;
+  SingleRunOptions opt;
+  opt.app = "testapp";
+  opt.args = {"--bogus"};
+  opt.thread_limit = 32;
+  auto run = RunSingleInstance(env.app_env, opt);
+  ASSERT_TRUE(run.ok());
+  EXPECT_TRUE(run->instances[0].completed);
+  EXPECT_EQ(run->instances[0].exit_code, kExitUsage);
+  EXPECT_FALSE(run->all_ok());
+}
+
+TEST(SingleLoader, OomSurfacesAsExitCode) {
+  Env env;
+  SingleRunOptions opt;
+  opt.app = "testapp";
+  // 64 MiB test device: ask for 100M doubles.
+  opt.args = {"-n", "100000000"};
+  opt.thread_limit = 32;
+  auto run = RunSingleInstance(env.app_env, opt);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->instances[0].exit_code, kExitNoMem);
+}
+
+TEST(SingleLoader, UnknownAppFails) {
+  Env env;
+  SingleRunOptions opt;
+  opt.app = "missing";
+  auto run = RunSingleInstance(env.app_env, opt);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), ErrorCode::kNotFound);
+}
+
+TEST(SingleLoader, ThreadLimitChangesParallelPerformance) {
+  Env env;
+  auto time_with = [&](std::uint32_t tl) {
+    SingleRunOptions opt;
+    opt.app = "testapp";
+    opt.args = {"-n", "20000"};
+    opt.thread_limit = tl;
+    auto run = RunSingleInstance(env.app_env, opt);
+    EXPECT_TRUE(run.ok());
+    return run->kernel_cycles;
+  };
+  const auto t1 = time_with(1);
+  const auto t64 = time_with(64);
+  EXPECT_GT(t1, t64);  // the parallel fill/reduce dominates
+}
+
+/// FNV-1a (64-bit) of the kernel cycles, the LaunchStats rendering and the
+/// instance's stdout.
+std::uint64_t RunDigest(const RunResult& run, const std::string& stdout_text) {
+  const std::string text =
+      StrFormat("%llu\n", (unsigned long long)run.kernel_cycles) +
+      run.stats.ToString() + stdout_text;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(SingleLoader, PlainRunsOfTheFourAppsMatchPinnedDigests) {
+  apps::RegisterAllApps();
+  struct Case {
+    const char* app;
+    std::vector<std::string> args;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"xsbench", {"-i", "8", "-g", "64", "-l", "256"},
+       0x850a36775972744bULL},
+      {"rsbench", {"-u", "8", "-w", "8", "-l", "256"},
+       0xbab106a4c31708acULL},
+      {"amgmk", {"-x", "6", "-y", "6", "-z", "6"}, 0x270639f6a518bfa6ULL},
+      {"pagerank", {"-g", "2000", "-d", "4"}, 0x7adf18103b631a53ULL},
+  };
+  for (const Case& c : cases) {
+    Env env;
+    SingleRunOptions opt{.app = c.app, .args = c.args, .thread_limit = 64};
+    auto run = RunSingleInstance(env.app_env, opt);
+    ASSERT_TRUE(run.ok()) << c.app << ": " << run.status().ToString();
+    EXPECT_TRUE(run->all_ok()) << c.app;
+    EXPECT_EQ(RunDigest(*run, env.rpc.stdout_text()), c.digest)
+        << c.app << " digest 0x" << std::hex
+        << RunDigest(*run, env.rpc.stdout_text());
+  }
+}
+
+}  // namespace
+}  // namespace dgc::dgcf

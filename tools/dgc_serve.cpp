@@ -49,16 +49,6 @@ void InstallDrainHandler() {
   sigaction(SIGINT, &action, nullptr);
 }
 
-StatusOr<sim::DeviceSpec> PickDevice(const std::string& name,
-                                     std::int64_t memory_scale) {
-  const std::uint32_t scale = std::uint32_t(memory_scale);
-  if (name == "a100") return sim::DeviceSpec::A100_40GB(scale);
-  if (name == "v100") return sim::DeviceSpec::V100_16GB(scale);
-  if (name == "test") return sim::DeviceSpec::TestDevice();
-  return Status(ErrorCode::kInvalidArgument,
-                "unknown device '" + name + "' (a100, v100, test)");
-}
-
 int Usage(int code) {
   std::printf(
       "usage: dgc-serve --stream <file> [options]\n"
@@ -245,7 +235,7 @@ int main(int argc, char** argv) {
       job_attempts <= 0 || backoff < 0 || launch_retry <= 0 ||
       retry_shrink < 0 || quarantine_after < 0 || quarantine_cooldown < 0 ||
       watchdog < 0 || instance_watchdog < 0 || drain_at < 0 ||
-      memory_scale <= 0 || headroom <= 0.0 || headroom > 100.0) {
+      headroom <= 0.0 || headroom > 100.0) {
     std::fprintf(stderr, "dgc-serve: flag out of range\n\n");
     return Usage(2);
   }
@@ -255,7 +245,7 @@ int main(int argc, char** argv) {
   }
 
   serve::ServeConfig config;
-  auto spec = PickDevice(device_name, memory_scale);
+  auto spec = sim::DeviceSpec::FromName(device_name, memory_scale);
   if (!spec.ok()) {
     std::fprintf(stderr, "dgc-serve: %s\n\n", spec.status().ToString().c_str());
     return Usage(2);
@@ -273,7 +263,7 @@ int main(int argc, char** argv) {
   config.retry.backoff_base = std::uint64_t(backoff);
   config.breaker.failure_threshold = std::uint32_t(quarantine_after);
   config.breaker.cooldown = std::uint64_t(quarantine_cooldown);
-  config.launch_attempts = std::uint32_t(launch_retry);
+  config.max_attempts = std::uint32_t(launch_retry);
   config.retry_shrink = std::uint32_t(retry_shrink);
   config.watchdog_cycles = std::uint64_t(watchdog);
   config.instance_watchdog_cycles = std::uint64_t(instance_watchdog);
