@@ -3,6 +3,8 @@
 // all instances races (every instance sees everyone's increments); the
 // proposed per-team relocation (IsolatedGlobals) restores correctness.
 #include <cstdio>
+#include <numeric>
+#include <vector>
 
 #include "ensemble/isolation.h"
 #include "gpusim/device.h"
@@ -31,14 +33,14 @@ CounterRun RunCounterEnsemble(ensemble::GlobalsMode mode) {
   ensemble::IsolatedGlobals globals;
   DGC_CHECK(globals.Declare("g_counter", sizeof(std::uint64_t)).ok());
   DGC_CHECK(globals.Materialize(device, kTeams, mode, &memcheck).ok());
-  for (std::uint32_t t = 0; t < kTeams; ++t) {
-    memcheck.SetTeamInstance(t, std::int32_t(t));
-  }
+  std::vector<std::int32_t> instance_of_team(kTeams);
+  std::iota(instance_of_team.begin(), instance_of_team.end(), 0);
 
   CounterRun run;
   run.finals.assign(kTeams, 0);
   ompx::TeamsConfig cfg{.num_teams = kTeams, .thread_limit = 32};
   cfg.memcheck = &memcheck;
+  cfg.team_instances = instance_of_team;
   auto result = ompx::LaunchTeams(
       device, cfg, [&](ompx::TeamCtx& team) -> DeviceTask<void> {
         auto slot = *globals.Slot<std::uint64_t>(team.team_id, "g_counter");

@@ -70,9 +70,9 @@ struct RunResult {
   /// Sanitizer findings when the run was launched with a memcheck attached
   /// (clean/empty otherwise).
   sim::MemcheckReport memcheck;
-  /// Per-instance counter attribution when the run was profiled (empty
-  /// otherwise): entry 0 is the unattributed slot (instance -1), then one
-  /// entry per instance in id order. See gpusim/profiler.h.
+  /// Per-instance counters summed over all waves: entry 0 is the
+  /// unattributed slot (instance -1), then one entry per instance in id
+  /// order, whose elapsed_cycles is that instance's InstanceResult::cycles.
   std::vector<sim::InstanceStats> instance_stats;
   /// Device-memory counters at the end of the run (peak is the high-water
   /// mark over the whole run).

@@ -10,8 +10,6 @@
 #include "ensemble/argfile.h"
 #include "ensemble/argscript.h"
 #include "gpusim/device.h"
-#include "gpusim/lane.h"
-#include "gpusim/profiler.h"
 #include "gpusim/trace.h"
 #include "ompx/league.h"
 #include "support/argparse.h"
@@ -143,6 +141,11 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
 
   dgcf::RunResult run;
   run.instances.resize(ni);
+  // Entry 0 is the unattributed bucket, entry i + 1 instance i.
+  run.instance_stats.resize(ni + 1);
+  for (std::uint32_t b = 0; b <= ni; ++b) {
+    run.instance_stats[b].instance = std::int32_t(b) - 1;
+  }
   run.transfer_cycles = argv.transfer_cycles();
   env.share_data = options.share_data;
 
@@ -170,8 +173,9 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
     const std::uint32_t wave_teams =
         std::min<std::uint32_t>(team_cap, std::uint32_t(pending.size()));
 
-    // Which instance each wave-local team is currently executing; feeds the
-    // instance_of hook so lane failures are attributed `instance=I`.
+    // Which instance each wave-local team is currently executing (-1
+    // between instances): the launch's row table, through which counters,
+    // failure lines, allocation owners and memcheck findings are attributed.
     std::vector<std::int32_t> current(wave_teams, -1);
     std::vector<char> started(ni, 0);
 
@@ -185,26 +189,7 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
     cfg.faults = options.faults;
     cfg.profiler = options.profiler;
     cfg.watchdog_cycles = launch_watchdog;
-    const std::uint32_t m = options.teams_per_block;
-    const std::uint32_t team_size = options.thread_limit;
-    cfg.instance_of = [&current, wave_teams, m,
-                       team_size](std::uint32_t block_id,
-                                  std::uint32_t thread_id) -> std::int32_t {
-      const std::uint32_t team = block_id * m + thread_id / team_size;
-      return team < wave_teams ? current[team] : -1;
-    };
-    // Per-owner device-memory accounting: attribute each allocation to the
-    // instance the allocating lane's team is currently executing. `current`
-    // is wave-local, so the resolver is reinstalled per wave and detached
-    // before the vector dies.
-    env.device->memory().set_instance_resolver(
-        [&current, wave_teams, m, team_size]() -> std::int32_t {
-          const sim::Lane* lane = sim::CurrentLane();
-          if (lane == nullptr || lane->ctx == nullptr) return -1;
-          const std::uint32_t team =
-              lane->ctx->block_id * m + lane->thread_id / team_size;
-          return team < wave_teams ? current[team] : -1;
-        });
+    cfg.team_instances = current;
 
     // The Fig. 4 kernel:  #pragma omp target teams distribute
     //                     for (I = 0; I < NI; ++I)
@@ -220,12 +205,6 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
             const std::uint32_t i = pending[idx];
             dgcf::InstanceResult& inst = run.instances[i];
             current[team.team_id] = std::int32_t(i);
-            if (options.memcheck != nullptr) {
-              // Feed the §3.3 cross-instance checker: from here until the
-              // next update, accesses by this team belong to instance i.
-              options.memcheck->SetTeamInstance(team.team_id,
-                                                std::int32_t(i));
-            }
             started[i] = 1;
             ++inst.attempts;
             inst.reason = dgcf::TerminationReason::kNotStarted;
@@ -268,15 +247,17 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
             }
           }
         });
-    env.device->memory().set_instance_resolver(nullptr);
     DGC_RETURN_IF_ERROR(result.status());
 
     run.waves = wave + 1;
     run.kernel_cycles += result->cycles;
-    // Waves run back-to-back on the device, so their elapsed cycles add —
-    // the sequential merge. (Per-instance stats of one wave are the
-    // concurrent case; the profiler handles those.)
+    // Waves run back-to-back on the device, so their elapsed cycles and
+    // each instance's counters add — the sequential merge.
     run.stats.AccumulateSequential(result->stats);
+    for (std::size_t b = 0; b < result->instance_stats.size(); ++b) {
+      run.instance_stats[b].stats.AccumulateSequential(
+          result->instance_stats[b]);
+    }
     for (std::string& f : result->failures) run.failures.push_back(std::move(f));
     // The sanitizer report is cumulative since Attach; the latest wave's
     // snapshot covers all waves so far.
@@ -320,12 +301,8 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
   // map(from:Ret[:NI])
   run.transfer_cycles +=
       sim::TransferCycles(env.device->spec(), std::uint64_t(ni) * sizeof(int));
-  if (options.profiler != nullptr) {
-    for (std::uint32_t i = 0; i < ni; ++i) {
-      options.profiler->SetInstanceElapsed(std::int32_t(i),
-                                           run.instances[i].cycles);
-    }
-    run.instance_stats = options.profiler->instances();
+  for (std::uint32_t i = 0; i < ni; ++i) {
+    run.instance_stats[i + 1].stats.elapsed_cycles = run.instances[i].cycles;
   }
   run.device_mem = env.device->memory().Snapshot();
   const auto& owner_stats = env.device->memory().owner_stats();

@@ -68,9 +68,9 @@ struct EnsembleOptions : LaunchPolicy {
   /// Optional instruction trace of the ensemble kernel (gpusim/trace.h).
   sim::Trace* trace = nullptr;
   /// Optional shadow-memory sanitizer (gpusim/memcheck.h). The loader
-  /// attaches it to the device memory, maps each team to the instance it is
-  /// currently executing (feeding the §3.3 cross-instance checker), and
-  /// returns its findings in RunResult::memcheck.
+  /// attaches it to the device memory and returns its findings in
+  /// RunResult::memcheck; the launch's team→instance table feeds its §3.3
+  /// cross-instance checker.
   sim::Memcheck* memcheck = nullptr;
   /// Optional deterministic fault-injection plan (gpusim/faults.h). The
   /// loader forwards it to every launch wave and attaches it to the AppEnv's
@@ -86,8 +86,8 @@ struct EnsembleOptions : LaunchPolicy {
   /// budget instead of the batch minimum.
   std::vector<std::uint64_t> instance_watchdogs;
   /// Optional launch profiler (gpusim/profiler.h); null = off. The loader
-  /// forwards it to every wave (one profiler observes all waves), records
-  /// each instance's elapsed cycles, and fills RunResult::instance_stats.
+  /// forwards it to every wave, so one timeline covers all waves.
+  /// RunResult::instance_stats is filled with or without it.
   sim::Profiler* profiler = nullptr;
 };
 

@@ -62,7 +62,7 @@ StatusOr<LaunchResult> Device::Launch(const LaunchConfig& config,
   }
 
   memsys_.Reset();  // cold caches per launch; deterministic across launches
-  if (config.memcheck != nullptr) config.memcheck->OnLaunchBegin(config);
+  if (config.memcheck != nullptr) config.memcheck->OnLaunchBegin();
   LaunchContext lc(spec_, memsys_, config, kernel);
   DGC_RETURN_IF_ERROR(lc.Run());
   if (config.memcheck != nullptr) config.memcheck->OnLaunchEnd(lc.stats);
@@ -70,6 +70,7 @@ StatusOr<LaunchResult> Device::Launch(const LaunchConfig& config,
   LaunchResult result;
   result.outcome = lc.outcome;
   result.stats = lc.stats;
+  result.instance_stats = std::move(lc.instance_stats);
   result.cycles = lc.stats.elapsed_cycles + spec_.kernel_launch_overhead;
   result.failures = std::move(lc.failures);
   result.failure_count = lc.failure_count;

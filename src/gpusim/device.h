@@ -24,13 +24,17 @@ struct LaunchResult {
   /// Kernel duration in device cycles, including launch overhead.
   std::uint64_t cycles = 0;
   LaunchStats stats;
+  /// `stats` split by instance (LaunchContext::instance_stats): index 0 is
+  /// unattributed work, index i + 1 instance i. Every counter but
+  /// elapsed_cycles, blocks_launched and memcheck_findings sums to `stats`.
+  std::vector<LaunchStats> instance_stats;
   /// How the launch ended. kDeadlocked means the event queue drained with
   /// blocks still resident — the kernel retired abnormally but the process
   /// (and sweep siblings) carry on; loaders map it to per-instance
   /// TerminationReason::kDeadlock.
   LaunchOutcome outcome = LaunchOutcome::kCompleted;
   /// Messages from lanes that terminated with an exception (up to 16),
-  /// `instance=I`-prefixed when the config provides instance attribution.
+  /// `instance=I`-prefixed when the lane's team row was running one.
   std::vector<std::string> failures;
   std::uint64_t failure_count = 0;
   /// Snapshot of the sanitizer report after the launch's leak check;

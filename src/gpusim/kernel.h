@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "gpusim/address.h"
 #include "gpusim/faults.h"
@@ -14,12 +15,6 @@ class Memcheck;
 class Profiler;
 class Trace;
 struct ThreadCtx;
-
-/// Maps a failing lane to the application instance currently running on it
-/// (>= 0), or -1 when unattributable. Installed by the ensemble loader so
-/// failure messages carry an `instance=I` prefix.
-using InstanceOfFn =
-    std::function<std::int32_t(std::uint32_t block_id, std::uint32_t thread_id)>;
 
 /// A kernel is a coroutine entry point invoked once per lane. The same
 /// callable serves every lane; identity comes from the ThreadCtx.
@@ -44,12 +39,16 @@ struct LaunchConfig {
   /// 0 = disabled (the raw simulator default; loaders derive a budget from
   /// the device spec).
   std::uint64_t watchdog_cycles = 0;
-  /// Optional instance attribution for failure messages (see InstanceOfFn).
-  InstanceOfFn instance_of = nullptr;
-  /// Optional launch profiler (see gpusim/profiler.h); null = off. When
-  /// set, counters are attributed per instance through `instance_of` and a
-  /// utilization timeline is sampled. Non-owning; one profiler may observe
-  /// several sequential launches (retry waves).
+  /// The instance each team row is running, indexed by row =
+  /// block_id * block.y + tid.y (>= 0), or -1 between instances. Rows past
+  /// the end are unattributed (-1). The ensemble loader points this at its
+  /// live table and updates entries as teams move through their instances;
+  /// counters, failure prefixes, allocation owners and memcheck findings
+  /// are all attributed through it (LaunchContext::InstanceOf).
+  std::span<const std::int32_t> row_instances = {};
+  /// Optional launch profiler (see gpusim/profiler.h); null = off. Samples
+  /// a utilization timeline. Non-owning; one profiler may observe several
+  /// sequential launches (retry waves).
   Profiler* profiler = nullptr;
 };
 

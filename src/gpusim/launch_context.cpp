@@ -1,6 +1,7 @@
 #include "gpusim/launch_context.h"
 
 #include "gpusim/block.h"
+#include "gpusim/lane.h"
 #include "gpusim/profiler.h"
 #include "support/str.h"
 
@@ -41,12 +42,11 @@ Status LaunchContext::Run() {
   }
   if (profiler != nullptr) {
     profiler->OnLaunchEnd(engine.now(), ActiveWarps(), ResidentBlocks(),
-                          instance_buckets_);
-    // Fold the buckets back so the launch-global totals are identical to a
-    // non-profiled run (buckets carry elapsed_cycles = 0, set below).
-    for (const LaunchStats& bucket : instance_buckets_) {
-      stats.AccumulateSequential(bucket);
-    }
+                          instance_stats);
+  }
+  // Buckets carry elapsed_cycles = 0; the launch's own is set below.
+  for (const LaunchStats& bucket : instance_stats) {
+    stats.AccumulateSequential(bucket);
   }
   stats.elapsed_cycles = engine.now();
   stats.blocks_launched = next_block_;
@@ -62,7 +62,7 @@ void LaunchContext::DrainEvents() {
     // profiling cannot perturb event order (determinism).
     if (profiler != nullptr && profiler->NeedsSampleBefore(t_next)) {
       profiler->AdvanceTo(t_next, ActiveWarps(), ResidentBlocks(),
-                          instance_buckets_);
+                          instance_stats);
     }
     engine.RunOne();
   }
@@ -70,12 +70,15 @@ void LaunchContext::DrainEvents() {
 
 LaunchStats& LaunchContext::IssueStats(std::uint32_t block,
                                        std::uint32_t thread) {
-  if (config.profiler == nullptr) return stats;
-  std::int32_t instance = -1;
-  if (config.instance_of) instance = config.instance_of(block, thread);
-  const std::size_t index = std::size_t(instance + 1);
-  if (instance_buckets_.size() <= index) instance_buckets_.resize(index + 1);
-  return instance_buckets_[index];
+  const std::size_t index = std::size_t(InstanceOf(block, thread) + 1);
+  if (instance_stats.size() <= index) instance_stats.resize(index + 1);
+  return instance_stats[index];
+}
+
+std::int32_t InstanceOfLane(const Lane* lane) {
+  if (lane == nullptr || lane->block == nullptr) return -1;
+  return lane->block->launch_context()->InstanceOf(lane->block->id(),
+                                                   lane->thread_id);
 }
 
 std::uint32_t LaunchContext::ActiveWarps() const {
@@ -106,9 +109,8 @@ void LaunchContext::RecordFailure(std::uint32_t block, std::uint32_t thread,
   }
   if (failures.size() >= kMaxRecordedFailures) return;
   std::string prefix;
-  if (config.instance_of) {
-    const std::int32_t instance = config.instance_of(block, thread);
-    if (instance >= 0) prefix = StrFormat("instance=%d ", instance);
+  if (const std::int32_t instance = InstanceOf(block, thread); instance >= 0) {
+    prefix = StrFormat("instance=%d ", instance);
   }
   failures.push_back(StrFormat("%sblock %u thread %u: %s", prefix.c_str(),
                                block, thread, what.c_str()));

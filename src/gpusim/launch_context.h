@@ -20,6 +20,7 @@
 namespace dgc::sim {
 
 class Block;
+class Lane;
 
 struct LaunchContext {
   LaunchContext(const DeviceSpec& spec, MemorySystem& memsys,
@@ -37,17 +38,24 @@ struct LaunchContext {
   Status Run();
 
   void OnBlockFinished(Block* block, std::uint64_t now);
-  /// Records one lane failure, prefixed with the owning instance when the
-  /// launch configured an instance_of hook. `kind` classifies traps for the
-  /// stats counters (kNone for ordinary exceptions).
+  /// Records one lane failure, prefixed `instance=I` when the lane's team
+  /// row is running an instance. `kind` classifies traps for the stats
+  /// counters (kNone for ordinary exceptions).
   void RecordFailure(std::uint32_t block, std::uint32_t thread, TrapKind kind,
                      const std::string& what);
 
-  /// Stats sink for counter bumps issued on behalf of lane
-  /// (`block`, `thread`). Without a profiler this is the launch-global
-  /// `stats` (zero overhead over the old direct bumps); with one it is the
-  /// per-instance bucket selected by config.instance_of, folded back into
-  /// `stats` when the run ends — totals are identical either way.
+  /// The instance lane (`block`, `thread`) is running: config.row_instances
+  /// at row block * block.y + thread / block.x, or -1 when the row has
+  /// none. The launch's only instance lookup.
+  std::int32_t InstanceOf(std::uint32_t block, std::uint32_t thread) const {
+    const std::uint64_t row =
+        std::uint64_t(block) * config.block.y + thread / config.block.x;
+    return row < config.row_instances.size() ? config.row_instances[row] : -1;
+  }
+
+  /// Stats sink for counter bumps issued on behalf of lane (`block`,
+  /// `thread`): the bucket of the instance it is running. Run folds the
+  /// buckets into `stats` when the launch ends.
   LaunchStats& IssueStats(std::uint32_t block, std::uint32_t thread);
 
   /// Resident warps summed over all SMs (timeline sampling).
@@ -61,7 +69,12 @@ struct LaunchContext {
   const KernelFn& kernel;
 
   Engine engine;
+  /// Launch totals; valid once Run returns.
   LaunchStats stats;
+  /// Per-instance counter buckets: index 0 collects unattributed (-1)
+  /// work, index i + 1 instance i. Grown on first use; Run folds them into
+  /// `stats`, which alone holds elapsed_cycles and blocks_launched.
+  std::vector<LaunchStats> instance_stats;
   LaunchOutcome outcome = LaunchOutcome::kCompleted;
   std::vector<std::string> failures;
   std::uint64_t failure_count = 0;
@@ -72,9 +85,6 @@ struct LaunchContext {
   /// insertion-seq) order on the calling thread.
   void DrainEvents();
 
-  /// Per-instance counter buckets, live only while config.profiler is set:
-  /// index 0 collects unattributed (-1) work, index i + 1 instance i.
-  std::vector<LaunchStats> instance_buckets_;
   std::vector<SM> sms_;
   std::vector<std::unique_ptr<Block>> blocks_;
   std::uint64_t total_blocks_ = 0;
@@ -82,5 +92,9 @@ struct LaunchContext {
   std::uint64_t done_blocks_ = 0;
   int warps_per_block_ = 0;
 };
+
+/// The instance `lane` is running (LaunchContext::InstanceOf of its
+/// launch), or -1 for a null lane or one outside a launch.
+std::int32_t InstanceOfLane(const Lane* lane);
 
 }  // namespace dgc::sim

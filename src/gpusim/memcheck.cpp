@@ -1,9 +1,7 @@
 #include "gpusim/memcheck.h"
 
-#include <algorithm>
-
 #include "gpusim/ctx.h"
-#include "gpusim/kernel.h"
+#include "gpusim/launch_context.h"
 #include "gpusim/stats.h"
 #include "gpusim/warp.h"
 #include "support/str.h"
@@ -130,7 +128,7 @@ void Memcheck::OnAlloc(DeviceAddr addr, std::uint64_t requested,
     shadow.alloc_attributed = true;
     shadow.alloc_block = lane->ctx != nullptr ? lane->ctx->block_id : 0;
     shadow.alloc_thread = lane->thread_id;
-    shadow.alloc_instance = InstanceOf(*lane);
+    shadow.alloc_instance = InstanceOfLane(lane);
     shadow.owner = shadow.alloc_instance;
   }
   live_[addr] = std::move(shadow);
@@ -176,12 +174,7 @@ void Memcheck::TagRegion(DeviceAddr addr, std::int32_t owner,
   it->second.label = std::move(label);
 }
 
-void Memcheck::SetTeamInstance(std::uint32_t team, std::int32_t instance) {
-  team_instances_[team] = instance;
-}
-
-void Memcheck::OnLaunchBegin(const LaunchConfig& config) {
-  teams_per_block_ = std::max(1u, config.block.y);
+void Memcheck::OnLaunchBegin() {
   findings_at_launch_begin_ = report_.total();
 }
 
@@ -254,7 +247,7 @@ bool Memcheck::CheckAccess(const Lane& lane, DeviceOp::Kind op,
 
   if (config_.check_cross_instance && is_write &&
       region->owner != kNoInstance) {
-    const std::int32_t inst = InstanceOf(lane);
+    const std::int32_t inst = InstanceOfLane(&lane);
     if (inst != kNoInstance) {
       bool race = false;
       if (region->owner >= 0) {
@@ -306,14 +299,6 @@ const Memcheck::ShadowAlloc* Memcheck::FindFreed(DeviceAddr addr) const {
   return &it->second;
 }
 
-std::int32_t Memcheck::InstanceOf(const Lane& lane) const {
-  if (team_instances_.empty() || lane.ctx == nullptr) return kNoInstance;
-  const std::uint32_t team =
-      lane.ctx->block_id * teams_per_block_ + lane.ctx->tid3.y;
-  auto it = team_instances_.find(team);
-  return it == team_instances_.end() ? kNoInstance : it->second;
-}
-
 void Memcheck::Attribute(MemcheckFinding& f, const Lane& lane) const {
   f.attributed = true;
   f.thread_id = lane.thread_id;
@@ -322,7 +307,7 @@ void Memcheck::Attribute(MemcheckFinding& f, const Lane& lane) const {
     f.lane_id = lane.thread_id % 32;
   }
   if (lane.ctx != nullptr) f.block_id = lane.ctx->block_id;
-  f.instance = InstanceOf(lane);
+  f.instance = InstanceOfLane(&lane);
 }
 
 void Memcheck::DescribeRegion(MemcheckFinding& f,

@@ -42,7 +42,6 @@
 
 namespace dgc::sim {
 
-struct LaunchConfig;
 struct LaunchStats;
 
 /// Sentinel owners for shadow regions (real instance ids are >= 0).
@@ -71,7 +70,8 @@ struct MemcheckConfig {
   /// Report accesses not naturally aligned to their width.
   bool check_alignment = true;
   /// Run the cross-instance (ensemble isolation) checker. Inert until
-  /// regions are tagged / team→instance mappings are set.
+  /// regions are tagged and the launch maps team rows to instances
+  /// (LaunchConfig::row_instances).
   bool check_cross_instance = true;
   /// Flag device-code allocations still live when a kernel retires.
   bool check_leaks = true;
@@ -150,13 +150,8 @@ class Memcheck : public AllocationListener {
   /// should be race-checked. Untagged regions are bounds-checked only.
   void TagRegion(DeviceAddr addr, std::int32_t owner, std::string label);
 
-  /// Maps a team (as computed from block id and block-dim row) to the
-  /// ensemble instance it is currently executing. Loaders update this as
-  /// teams move through their `distribute` iterations.
-  void SetTeamInstance(std::uint32_t team, std::int32_t instance);
-
   // --- Launch lifecycle (called by Device::Launch) ---------------------------
-  void OnLaunchBegin(const LaunchConfig& config);
+  void OnLaunchBegin();
   /// Leak-checks device-code allocations and folds the launch's finding
   /// count into `stats.memcheck_findings`.
   void OnLaunchEnd(LaunchStats& stats);
@@ -191,7 +186,6 @@ class Memcheck : public AllocationListener {
 
   const ShadowAlloc* FindLive(DeviceAddr addr) const;
   const ShadowAlloc* FindFreed(DeviceAddr addr) const;
-  std::int32_t InstanceOf(const Lane& lane) const;
   void Attribute(MemcheckFinding& f, const Lane& lane) const;
   void DescribeRegion(MemcheckFinding& f, const ShadowAlloc& region) const;
   void Record(MemcheckFinding finding);
@@ -202,8 +196,6 @@ class Memcheck : public AllocationListener {
   std::map<DeviceAddr, ShadowAlloc> live_;
   std::map<DeviceAddr, ShadowAlloc> freed_;  ///< retired allocations (FIFO-bounded)
   std::vector<DeviceAddr> freed_order_;      ///< eviction order for freed_
-  std::map<std::uint32_t, std::int32_t> team_instances_;
-  std::uint32_t teams_per_block_ = 1;  ///< block-dim y of the current launch
   std::uint64_t findings_at_launch_begin_ = 0;
 };
 

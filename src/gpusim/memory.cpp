@@ -1,5 +1,7 @@
 #include "gpusim/memory.h"
 
+#include "gpusim/launch_context.h"
+#include "gpusim/lane.h"
 #include "support/str.h"
 #include "support/units.h"
 
@@ -44,7 +46,7 @@ StatusOr<DeviceBuffer> DeviceMemory::Allocate(std::uint64_t bytes) {
   Region region;
   region.bytes = rounded;
   region.storage = std::make_unique<std::byte[]>(rounded);
-  region.owner = resolver_ ? resolver_() : -1;
+  region.owner = InstanceOfLane(CurrentLane());
   std::byte* host = region.storage.get();
   OwnerMemStats& owner = owner_stats_[region.owner];
   owner.bytes_in_use += rounded;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -136,16 +135,11 @@ class DeviceMemory {
   /// At most one listener; replaces any previous one (nullptr detaches).
   void set_listener(AllocationListener* listener) { listener_ = listener; }
 
-  /// Attribution hook for per-owner accounting: called once per Allocate to
-  /// label the allocation (-1 = unattributed). Loaders install a resolver
-  /// mapping the currently executing lane to its ensemble instance. A shared
-  /// segment's physical bytes are attributed to the materializing owner only;
-  /// attaches cost their owner nothing.
-  void set_instance_resolver(std::function<std::int32_t()> resolver) {
-    resolver_ = std::move(resolver);
-  }
-
-  /// Per-owner accounting snapshots, keyed by resolver-assigned owner.
+  /// Per-owner accounting snapshots. Each Allocate is owned by the
+  /// instance the allocating lane is running (LaunchContext::InstanceOf);
+  /// host-side allocations and lanes between instances own -1. A shared
+  /// segment's physical bytes are attributed to the materializing owner
+  /// only; attaches cost their owner nothing.
   const std::map<std::int32_t, OwnerMemStats>& owner_stats() const {
     return owner_stats_;
   }
@@ -158,7 +152,7 @@ class DeviceMemory {
   struct Region {
     std::uint64_t bytes = 0;
     std::unique_ptr<std::byte[]> storage;  // null for free regions
-    std::int32_t owner = -1;               // resolver-assigned at Allocate
+    std::int32_t owner = -1;               // allocating instance
   };
 
   struct SharedInfo {
@@ -183,7 +177,6 @@ class DeviceMemory {
   std::uint64_t shared_attaches_ = 0;
   std::uint64_t shared_bytes_saved_ = 0;
 
-  std::function<std::int32_t()> resolver_;
   std::map<std::int32_t, OwnerMemStats> owner_stats_;
 };
 

@@ -69,8 +69,8 @@ std::uint64_t MemorySystem::Access(int sm_id,
   ++access_stamp_;
   bool l2_charged = false;
   // Counter deltas accumulate in registers across the sector loop and
-  // flush once — `stats` may be a profiler bucket the compiler cannot
-  // prove distinct from the hierarchy state it would otherwise reload.
+  // flush once — `stats` is an instance bucket the compiler cannot prove
+  // distinct from the hierarchy state it would otherwise reload.
   std::uint64_t l1_hits = 0, l1_misses = 0, l2_hits = 0, l2_misses = 0;
   std::uint64_t row_hits = 0, row_misses = 0, dram_sectors = 0;
   std::uint64_t l2_queue = 0, dram_queue = 0;

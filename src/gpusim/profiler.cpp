@@ -47,27 +47,6 @@ void Profiler::OnLaunchEnd(std::uint64_t now, std::uint32_t active_warps,
     EmitSample(now, active_warps, resident_blocks, buckets,
                /*final_flush=*/true);
   }
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    // Bucket 0 is the unattributed (-1) slot; i maps to instance i - 1.
-    Slot(std::int32_t(i) - 1).stats.AccumulateSequential(buckets[i]);
-  }
-}
-
-void Profiler::SetInstanceElapsed(std::int32_t instance,
-                                  std::uint64_t cycles) {
-  Slot(instance).stats.elapsed_cycles = cycles;
-}
-
-InstanceStats& Profiler::Slot(std::int32_t instance) {
-  // instances_ is indexed by instance + 1 (slot 0 holds the -1 entry);
-  // grow with correctly-labelled empty entries so ordering stays by id.
-  const std::size_t index = std::size_t(instance + 1);
-  while (instances_.size() <= index) {
-    InstanceStats entry;
-    entry.instance = std::int32_t(instances_.size()) - 1;
-    instances_.push_back(entry);
-  }
-  return instances_[index];
 }
 
 void Profiler::EmitSample(std::uint64_t cycle, std::uint32_t active_warps,

@@ -1,20 +1,18 @@
-// Launch profiler: per-instance counter attribution plus a sampled
-// stall/utilization timeline.
+// Launch profiler: a sampled stall/utilization timeline.
 //
 // The profiler is passive storage plus sampling policy; the hot-path hooks
-// live in LaunchContext. When a LaunchConfig carries a Profiler, the
-// context routes every counter bump into per-instance buckets (keyed by
-// LaunchConfig::instance_of) instead of bumping the launch-global
-// LaunchStats directly, and the run loop asks the profiler — between
-// events, never inside one — whether the next event crosses a sample
-// boundary. Each sample records window *deltas* (work issued since the
-// previous sample) and instantaneous occupancy, so DRAM-bandwidth
-// saturation is directly visible as instance count grows.
+// live in LaunchContext. Counters are charged to per-instance buckets on
+// every launch (LaunchContext::IssueStats) whether or not a profiler is
+// attached; when a LaunchConfig carries one, the run loop asks it —
+// between events, never inside one — whether the next event crosses a
+// sample boundary. Each sample records window *deltas* of the summed
+// buckets (work issued since the previous sample) and instantaneous
+// occupancy, so DRAM-bandwidth saturation is directly visible as instance
+// count grows.
 //
 // One Profiler may observe several sequential launches (ensemble retry
-// waves): each OnLaunchBegin opens a new wave, the timeline keeps growing,
-// and per-instance buckets accumulate with sequential merge semantics
-// (LaunchStats::AccumulateSequential — wave clocks are back-to-back).
+// waves): each OnLaunchBegin opens a new wave and the timeline keeps
+// growing.
 #pragma once
 
 #include <cstdint>
@@ -84,29 +82,19 @@ class Profiler {
   bool NeedsSampleBefore(std::uint64_t t) const { return t > next_boundary_; }
 
   /// Emits one sample per boundary < `t`. `buckets` are the context's
-  /// cumulative per-instance stats (index 0 = unattributed, i+1 = instance
-  /// i); occupancy/delta fields diff them against the previous sample.
+  /// per-instance stats so far (LaunchContext::instance_stats); delta
+  /// fields diff their sum against the previous sample.
   void AdvanceTo(std::uint64_t t, std::uint32_t active_warps,
                  std::uint32_t resident_blocks,
                  const std::vector<LaunchStats>& buckets);
 
-  /// Closes the wave at time `now`: emits the final partial-window sample
-  /// and folds `buckets` into the cumulative per-instance stats
-  /// (sequential merge — waves run back-to-back).
+  /// Closes the wave at time `now`: emits the final partial-window sample.
   void OnLaunchEnd(std::uint64_t now, std::uint32_t active_warps,
                    std::uint32_t resident_blocks,
                    const std::vector<LaunchStats>& buckets);
 
-  /// Records an instance's end-to-end elapsed cycles (loaders know this;
-  /// the launch does not). Overwrites — callers pass the final total.
-  void SetInstanceElapsed(std::int32_t instance, std::uint64_t cycles);
-
   // --- Results -------------------------------------------------------------
 
-  /// Cumulative per-instance stats across all observed waves, ordered by
-  /// instance id with the unattributed (-1) entry first. Entries exist only
-  /// for instances that did work or were registered via SetInstanceElapsed.
-  const std::vector<InstanceStats>& instances() const { return instances_; }
   const std::vector<TimelineSample>& timeline() const { return timeline_; }
   std::uint64_t dropped_samples() const { return dropped_samples_; }
   std::uint64_t sample_interval() const { return options_.sample_interval; }
@@ -120,11 +108,8 @@ class Profiler {
                   std::uint32_t resident_blocks,
                   const std::vector<LaunchStats>& buckets,
                   bool final_flush = false);
-  /// Bucket slot for `instance` (>= -1), created on first use.
-  InstanceStats& Slot(std::int32_t instance);
 
   Options options_;
-  std::vector<InstanceStats> instances_;
   std::vector<TimelineSample> timeline_;
   std::uint64_t dropped_samples_ = 0;
 

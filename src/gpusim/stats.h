@@ -70,6 +70,8 @@ struct LaunchStats {
   /// 2000. Summing here was the historical bug this split fixes.
   void AccumulateConcurrent(const LaunchStats& other);
 
+  bool operator==(const LaunchStats&) const = default;
+
   /// ideal_sectors / global_sectors: 1.0 is perfectly coalesced, lower
   /// means scattered accesses, and above 1.0 means lanes shared addresses
   /// (see ideal_sectors).
@@ -84,8 +86,8 @@ struct LaunchStats {
   std::string ToString() const;
 };
 
-/// Per-instance slice of a launch's counters, attributed through
-/// LaunchConfig::instance_of by the profiler (gpusim/profiler.h).
+/// Per-instance slice of a run's counters, folded across waves from each
+/// launch's buckets (LaunchResult::instance_stats) by the ensemble loader.
 /// instance == -1 collects work no instance owns (runtime bookkeeping,
 /// padding lanes, teams between instances).
 struct InstanceStats {

@@ -187,9 +187,12 @@ std::uint64_t Warp::ProcessPhase(std::uint64_t now) {
   while (remaining != 0) {
     const DeviceOp::Kind kind = SelectIssueGroup(remaining);
     ++groups;
-    // One stats sink per issue group: lanes of a group share an op and —
-    // with the block/team-granular instance_of maps the loaders install —
-    // an owning instance, so the leading lane speaks for the group.
+    // One stats sink per issue group, the leading lane's instance. Lanes of
+    // a group share an op, and usually a team row, hence an instance. Not
+    // always: with thread_limit < 32 and teams_per_block > 1 one warp spans
+    // several team rows, and a group mixing them is charged entirely to
+    // the leading lane's instance (docs/MODEL.md, "Per-instance
+    // attribution").
     LaunchStats& gstats =
         lc_->IssueStats(block_->id(), group_.front()->thread_id);
     ++gstats.warp_instructions;

@@ -56,9 +56,9 @@ class Warp {
   /// Issues all pending op groups in program order; returns the final time.
   std::uint64_t ProcessPhase(std::uint64_t now);
 
-  // Issue helpers charge their counters to `stats` — the launch-global
-  // LaunchStats, or the owning instance's bucket when profiling is on
-  // (see LaunchContext::IssueStats).
+  // Issue helpers charge their counters to `stats`, the bucket of the
+  // instance the group's leading lane is running (see
+  // LaunchContext::IssueStats).
   std::uint64_t IssueMemoryGroup(std::span<Lane*> group, bool is_store,
                                  std::uint64_t t, LaunchStats& stats);
   std::uint64_t IssueBatchGroup(std::span<Lane*> group, std::uint64_t t,

@@ -39,7 +39,7 @@ StatusOr<sim::LaunchResult> LaunchTeams(sim::Device& device,
   launch.memcheck = cfg.memcheck;
   launch.faults = cfg.faults;
   launch.watchdog_cycles = cfg.watchdog_cycles;
-  launch.instance_of = cfg.instance_of;
+  launch.row_instances = cfg.team_instances;
   launch.profiler = cfg.profiler;
 
   const std::uint32_t num_teams = cfg.num_teams;

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "gpusim/device.h"
 #include "ompx/team.h"
@@ -34,11 +35,12 @@ struct TeamsConfig {
   sim::FaultPlan* faults = nullptr;
   /// Launch watchdog cycle budget (0 = disabled); see LaunchConfig.
   std::uint64_t watchdog_cycles = 0;
-  /// Optional instance attribution for lane-failure messages; installed by
-  /// the ensemble loader (see sim::InstanceOfFn).
-  sim::InstanceOfFn instance_of;
+  /// The instance each team is running, indexed by team id (team id ==
+  /// row of sim::LaunchConfig::row_instances); forwarded to the launch.
+  /// Empty = every team unattributed.
+  std::span<const std::int32_t> team_instances = {};
   /// Optional launch profiler (gpusim/profiler.h), forwarded to the kernel
-  /// launch; attributes counters per instance through `instance_of`.
+  /// launch; samples a utilization timeline.
   sim::Profiler* profiler = nullptr;
 };
 

@@ -31,13 +31,12 @@ sim::MemcheckReport RunGlobalsWrites(GlobalsMode mode) {
   IsolatedGlobals globals;
   EXPECT_TRUE(globals.Declare("g_state", sizeof(std::uint64_t)).ok());
   EXPECT_TRUE(globals.Materialize(device, teams, mode, &memcheck).ok());
-  for (std::uint32_t t = 0; t < teams; ++t) {
-    memcheck.SetTeamInstance(t, std::int32_t(t));
-  }
+  const std::vector<std::int32_t> instance_of_team = {0, 1, 2, 3};
 
   ompx::TeamsConfig cfg{.num_teams = teams, .thread_limit = 32};
   cfg.name = "globals-probe";
   cfg.memcheck = &memcheck;
+  cfg.team_instances = instance_of_team;
   auto result = ompx::LaunchTeams(
       device, cfg, [&](TeamCtx& team) -> DeviceTask<void> {
         auto slot = globals.Slot<std::uint64_t>(team.team_id, "g_state");
@@ -73,10 +72,11 @@ TEST(EnsembleMemcheck, WriteToForeignReplicaIsFlagged) {
   ASSERT_TRUE(globals.Declare("g", sizeof(std::uint64_t)).ok());
   ASSERT_TRUE(
       globals.Materialize(device, 2, GlobalsMode::kIsolated, &memcheck).ok());
-  memcheck.SetTeamInstance(0, 0);
+  const std::vector<std::int32_t> instance_of_team = {0};
 
   ompx::TeamsConfig cfg{.num_teams = 1, .thread_limit = 32};
   cfg.memcheck = &memcheck;
+  cfg.team_instances = instance_of_team;
   auto result = ompx::LaunchTeams(
       device, cfg, [&](TeamCtx& team) -> DeviceTask<void> {
         // Instance 0 writes instance 1's replica — exactly the bug class

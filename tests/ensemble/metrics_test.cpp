@@ -149,6 +149,78 @@ TEST(Metrics, PerInstanceSectionMatchesAttribution) {
   EXPECT_NE(json.find(expect), std::string::npos) << json.substr(0, 2000);
 }
 
+/// FNV-1a (64-bit) of a whole document.
+std::uint64_t Fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Three probe instances, two teams per block (the second block's padding
+/// row is unattributed work), and an injected trap on instance 0's warp
+/// that a second wave retries.
+dgcf::RunResult RunRetryProbe(sim::Profiler* profiler) {
+  Env env;
+  EnsembleOptions opt;
+  opt.app = "metrics_probe";
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    opt.instance_args.push_back({StrFormat("%u", 64 + 8 * i)});
+  }
+  opt.thread_limit = 32;
+  opt.teams_per_block = 2;
+  opt.max_attempts = 2;
+  sim::FaultPlan plan;
+  plan.AddTrap(/*block=*/0, /*warp=*/0, /*cycle=*/200);
+  opt.faults = &plan;
+  opt.profiler = profiler;
+  auto run = RunEnsemble(env.app_env, opt);
+  DGC_CHECK(run.ok());
+  return std::move(*run);
+}
+
+TEST(Metrics, FullDocumentMatchesPinnedDigest) {
+  // Pins every value, not just the shape GoldenSchemaShape locks: per-
+  // instance counters, the unattributed bucket, each instance's
+  // mem_peak_bytes (the allocation owner) and elapsed_cycles.
+  sim::Profiler profiler(sim::Profiler::Options{.sample_interval = 64});
+  const dgcf::RunResult run = RunRetryProbe(&profiler);
+  ASSERT_EQ(run.waves, 2u);
+  ASSERT_EQ(run.instances[0].attempts, 2u);
+  ASSERT_TRUE(run.all_ok());
+
+  MetricsInfo info = ProbeInfo(3);
+  info.teams_per_block = 2;
+  const std::string json = FormatMetricsJson(info, run, &profiler);
+  EXPECT_EQ(Fnv1a(json), 0x0a6ae6e8b96c607fULL)
+      << "digest 0x" << std::hex << Fnv1a(json) << "\n" << json;
+}
+
+TEST(Metrics, UnprofiledRunAttributesPerInstance) {
+  // Attribution does not depend on the profiler: the per-instance counters
+  // of a plain run equal the profiled run's, field by field.
+  sim::Profiler profiler;
+  const dgcf::RunResult profiled = RunRetryProbe(&profiler);
+  const dgcf::RunResult plain = RunRetryProbe(nullptr);
+  ASSERT_EQ(plain.waves, 2u);
+  ASSERT_EQ(plain.instance_stats.size(), 4u);  // unattributed + 3
+  ASSERT_EQ(profiled.instance_stats.size(), 4u);
+  for (std::size_t b = 0; b < plain.instance_stats.size(); ++b) {
+    EXPECT_EQ(plain.instance_stats[b].instance, std::int32_t(b) - 1);
+    EXPECT_EQ(plain.instance_stats[b].stats, profiled.instance_stats[b].stats)
+        << "bucket " << b;
+  }
+  EXPECT_GT(plain.instance_stats[0].stats.warp_instructions, 0u);
+  // Each instance's elapsed_cycles is its end-to-end time over both waves.
+  for (std::size_t i = 0; i < plain.instances.size(); ++i) {
+    EXPECT_GT(plain.instance_stats[i + 1].stats.warp_instructions, 0u);
+    EXPECT_EQ(plain.instance_stats[i + 1].stats.elapsed_cycles,
+              plain.instances[i].cycles);
+  }
+}
+
 // --- Golden schema test ----------------------------------------------------
 //
 // Locks the document SHAPE (keys, nesting, field order), not the values:

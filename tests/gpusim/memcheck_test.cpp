@@ -199,11 +199,13 @@ TEST(Memcheck, CrossInstanceWriteToOwnedRegionIsFlagged) {
   Rig rig;
   auto owned = *rig.device.Malloc(64);
   rig.memcheck.TagRegion(owned.addr, /*owner=*/0, "instance 0 heap");
-  rig.memcheck.SetTeamInstance(/*team=*/0, /*instance=*/1);
+  const std::int32_t row_instance[] = {1};  // team row 0 runs instance 1
+  LaunchConfig cfg = OneWarp(rig.memcheck);
+  cfg.row_instances = row_instance;
 
   auto p = owned.Typed<std::uint64_t>();
   auto result = rig.device.Launch(
-      OneWarp(rig.memcheck), [&](ThreadCtx& ctx) -> DeviceTask<void> {
+      cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
         if (ctx.thread_id != 0) co_return;
         (void)co_await ctx.Load(p);             // reads never race
         co_await ctx.Store(p, std::uint64_t{1});  // write crosses instances
@@ -224,10 +226,12 @@ TEST(Memcheck, SameInstanceWriteIsClean) {
   Rig rig;
   auto owned = *rig.device.Malloc(64);
   rig.memcheck.TagRegion(owned.addr, /*owner=*/2, "instance 2 heap");
-  rig.memcheck.SetTeamInstance(/*team=*/0, /*instance=*/2);
+  const std::int32_t row_instance[] = {2};
+  LaunchConfig cfg = OneWarp(rig.memcheck);
+  cfg.row_instances = row_instance;
   auto p = owned.Typed<std::uint64_t>();
   auto result = rig.device.Launch(
-      OneWarp(rig.memcheck), [&](ThreadCtx& ctx) -> DeviceTask<void> {
+      cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
         if (ctx.thread_id != 0) co_return;
         co_await ctx.Store(p, std::uint64_t{1});
       });
@@ -243,9 +247,10 @@ TEST(Memcheck, SharedRegionRacesOnSecondWriter) {
   auto p = shared.Typed<std::uint64_t>();
 
   auto write_once = [&](std::int32_t instance) {
-    rig.memcheck.SetTeamInstance(0, instance);
+    LaunchConfig cfg = OneWarp(rig.memcheck);
+    cfg.row_instances = {&instance, 1};
     auto result = rig.device.Launch(
-        OneWarp(rig.memcheck), [&](ThreadCtx& ctx) -> DeviceTask<void> {
+        cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
           if (ctx.thread_id != 0) co_return;
           co_await ctx.Store(p, std::uint64_t(instance));
         });

@@ -1,8 +1,11 @@
-// Per-instance attribution and timeline sampling (gpusim/profiler.h), plus
-// the LaunchStats merge-semantics split the profiler exposed.
+// Per-instance counter buckets (LaunchResult::instance_stats), timeline
+// sampling (gpusim/profiler.h), and the LaunchStats merge-semantics split.
 #include "gpusim/profiler.h"
 
 #include <gtest/gtest.h>
+
+#include <numeric>
+#include <vector>
 
 #include "gpusim/ctx.h"
 #include "gpusim/device.h"
@@ -21,10 +24,10 @@ LaunchResult RunInstanced(Device& dev, Profiler* profiler,
                           std::uint32_t blocks = 4) {
   auto buf = *dev.Malloc(1024 * sizeof(double));
   auto p = buf.Typed<double>();
+  std::vector<std::int32_t> row_instances(blocks);  // block b runs instance b
+  std::iota(row_instances.begin(), row_instances.end(), 0);
   LaunchConfig cfg{.grid = {blocks, 1, 1}, .block = {32, 1, 1}};
-  cfg.instance_of = [](std::uint32_t block_id, std::uint32_t) {
-    return std::int32_t(block_id);
-  };
+  cfg.row_instances = row_instances;
   cfg.profiler = profiler;
   auto r = dev.Launch(cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
     for (std::uint32_t i = ctx.block_id * ctx.block_threads + ctx.thread_id;
@@ -49,27 +52,40 @@ std::uint64_t IssueCounterSum(const LaunchStats& s) {
          s.barrier_stall_cycles + s.compute_cycles_issued;
 }
 
-TEST(Profiler, AttributionConservesLaunchTotals) {
+TEST(LaunchBuckets, ConserveLaunchTotals) {
+  // Every launch attributes, profiled or not.
   auto dev = MakeDevice();
-  Profiler profiler;
-  const LaunchResult r = RunInstanced(*dev, &profiler);
+  const LaunchResult r = RunInstanced(*dev, nullptr);
 
-  // Slot 0 is the unattributed (-1) bucket, then instances in id order.
-  ASSERT_GE(profiler.instances().size(), 5u);
-  EXPECT_EQ(profiler.instances()[0].instance, -1);
-  for (std::size_t i = 1; i < profiler.instances().size(); ++i) {
-    EXPECT_EQ(profiler.instances()[i].instance, std::int32_t(i) - 1);
+  // Bucket 0 is unattributed (-1), bucket i + 1 instance i; every block
+  // here runs an instance, so only the instances did work.
+  ASSERT_EQ(r.instance_stats.size(), 5u);
+  EXPECT_EQ(r.instance_stats[0].warp_instructions, 0u);
+  for (std::size_t i = 1; i < r.instance_stats.size(); ++i) {
+    EXPECT_GT(r.instance_stats[i].warp_instructions, 0u);
+    EXPECT_EQ(r.instance_stats[i].elapsed_cycles, 0u);
   }
 
   // Per-instance buckets partition the launch-global counters exactly.
   LaunchStats sum;
-  for (const InstanceStats& inst : profiler.instances()) {
-    sum.AccumulateSequential(inst.stats);
+  for (const LaunchStats& bucket : r.instance_stats) {
+    sum.AccumulateSequential(bucket);
   }
   EXPECT_EQ(IssueCounterSum(sum), IssueCounterSum(r.stats));
   EXPECT_EQ(sum.warp_instructions, r.stats.warp_instructions);
   EXPECT_EQ(sum.dram_bytes, r.stats.dram_bytes);
   EXPECT_EQ(sum.barrier_arrivals, r.stats.barrier_arrivals);
+}
+
+TEST(LaunchBuckets, UnattributedWithoutRowTable) {
+  auto dev = MakeDevice();
+  LaunchConfig cfg{.grid = {2, 1, 1}, .block = {32, 1, 1}};
+  auto r = dev->Launch(cfg, [](ThreadCtx& ctx) -> DeviceTask<void> {
+    co_await ctx.Work(4);
+  });
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->instance_stats.size(), 1u);
+  EXPECT_EQ(IssueCounterSum(r->instance_stats[0]), IssueCounterSum(r->stats));
 }
 
 TEST(Profiler, ProfiledRunIsBitIdenticalToUnprofiled) {
@@ -84,19 +100,18 @@ TEST(Profiler, ProfiledRunIsBitIdenticalToUnprofiled) {
   EXPECT_EQ(IssueCounterSum(plain.stats), IssueCounterSum(profiled.stats));
   EXPECT_EQ(plain.stats.warp_instructions, profiled.stats.warp_instructions);
   EXPECT_EQ(plain.stats.dram_bytes, profiled.stats.dram_bytes);
+  EXPECT_EQ(plain.instance_stats, profiled.instance_stats);
 }
 
-TEST(Profiler, InstancesWithMoreWorkShowMoreAttributedCompute) {
+TEST(LaunchBuckets, InstancesWithMoreWorkShowMoreAttributedCompute) {
   auto dev = MakeDevice();
-  Profiler profiler;
-  RunInstanced(*dev, &profiler);
-  const auto& inst = profiler.instances();
-  ASSERT_GE(inst.size(), 5u);
+  const LaunchResult r = RunInstanced(*dev, nullptr);
+  const std::vector<LaunchStats>& inst = r.instance_stats;
+  ASSERT_EQ(inst.size(), 5u);
   // Block b runs Work(5*(b+1)): issued compute cycles must rise with the id.
-  EXPECT_LT(inst[1].stats.compute_cycles_issued,
-            inst[4].stats.compute_cycles_issued);
+  EXPECT_LT(inst[1].compute_cycles_issued, inst[4].compute_cycles_issued);
   // Every instance did the same number of loads/stores.
-  EXPECT_EQ(inst[1].stats.load_instructions, inst[4].stats.load_instructions);
+  EXPECT_EQ(inst[1].load_instructions, inst[4].load_instructions);
 }
 
 TEST(Profiler, TimelineSamplesAreOrderedAndConserveDeltas) {
@@ -157,23 +172,14 @@ TEST(Profiler, SequentialLaunchesOpenNewWaves) {
   const LaunchResult second = RunInstanced(*dev, &profiler);
   EXPECT_EQ(profiler.waves(), 2u);
   EXPECT_EQ(profiler.timeline().back().wave, 1u);
-  // Buckets accumulate across waves with sequential semantics.
-  LaunchStats sum;
-  for (const InstanceStats& inst : profiler.instances()) {
-    sum.AccumulateSequential(inst.stats);
+  // Each wave's window deltas restart from its own buckets, so the
+  // timeline tiles both launches.
+  std::uint64_t instr = 0;
+  for (const TimelineSample& s : profiler.timeline()) {
+    instr += s.warp_instructions;
   }
-  EXPECT_EQ(sum.warp_instructions,
+  EXPECT_EQ(instr,
             first.stats.warp_instructions + second.stats.warp_instructions);
-}
-
-TEST(Profiler, SetInstanceElapsedOverwritesAndCreatesSlots) {
-  Profiler profiler;
-  profiler.SetInstanceElapsed(1, 100);
-  profiler.SetInstanceElapsed(1, 250);  // final total wins, no summing
-  ASSERT_EQ(profiler.instances().size(), 3u);  // -1, 0, 1
-  EXPECT_EQ(profiler.instances()[2].instance, 1);
-  EXPECT_EQ(profiler.instances()[2].stats.elapsed_cycles, 250u);
-  EXPECT_EQ(profiler.instances()[1].stats.elapsed_cycles, 0u);
 }
 
 // --- LaunchStats merge semantics (the bug the profiler exposed) ------------

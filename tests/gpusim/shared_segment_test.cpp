@@ -3,6 +3,10 @@
 // Free path, snapshot counters, and per-owner accounting.
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "gpusim/ctx.h"
+#include "gpusim/device.h"
 #include "gpusim/memory.h"
 
 namespace dgc::sim {
@@ -145,20 +149,33 @@ TEST(SharedSegment, ListenerSeesOneSharedRegionPerCopy) {
   EXPECT_EQ(probe.frees[0], a.buffer.addr);
 }
 
-// Per-owner accounting via the instance resolver; shared physical bytes are
-// attributed to the materializing owner only.
+// Per-owner accounting: an allocation belongs to the instance the
+// allocating lane is running (its launch's row table); shared physical
+// bytes are attributed to the materializing owner only.
 TEST(SharedSegment, OwnerAccountingAttributesMaterializerOnly) {
-  DeviceMemory mem(1 << 20);
-  std::int32_t current = -1;
-  mem.set_instance_resolver([&current] { return current; });
+  Device device(DeviceSpec::TestDevice());
+  DeviceMemory& mem = device.memory();
+  // Runs `body` on lane 0 of a one-row launch whose row runs `instance`.
+  auto as_instance = [&](std::int32_t instance,
+                         const std::function<void()>& body) {
+    LaunchConfig cfg{.grid = {1, 1, 1}, .block = {32, 1, 1}};
+    cfg.row_instances = {&instance, 1};
+    auto r = device.Launch(cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
+      if (ctx.thread_id == 0) body();
+      co_return;
+    });
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  };
 
-  current = 0;
-  auto a = *mem.AcquireShared(11, 1024);
-  auto p0 = *mem.Allocate(512);
-  current = 1;
-  auto b = *mem.AcquireShared(11, 1024);  // attach: costs owner 1 nothing
-  auto p1 = *mem.Allocate(256);
-  (void)b;
+  DeviceBuffer a, p0, p1;
+  as_instance(0, [&] {
+    a = mem.AcquireShared(11, 1024)->buffer;
+    p0 = *mem.Allocate(512);
+  });
+  as_instance(1, [&] {
+    (void)*mem.AcquireShared(11, 1024);  // attach: costs owner 1 nothing
+    p1 = *mem.Allocate(256);
+  });
 
   const auto& stats = mem.owner_stats();
   ASSERT_TRUE(stats.count(0));
@@ -170,11 +187,10 @@ TEST(SharedSegment, OwnerAccountingAttributesMaterializerOnly) {
   EXPECT_EQ(stats.at(1).peak_bytes, 256u);
 
   // Frees rebalance the same books.
-  current = -1;
   ASSERT_TRUE(mem.Free(p0.addr).ok());
   ASSERT_TRUE(mem.Free(p1.addr).ok());
-  ASSERT_TRUE(mem.Free(a.buffer.addr).ok());
-  ASSERT_TRUE(mem.Free(a.buffer.addr).ok());
+  ASSERT_TRUE(mem.Free(a.addr).ok());
+  ASSERT_TRUE(mem.Free(a.addr).ok());
   EXPECT_EQ(stats.at(0).bytes_in_use, 0u);
   EXPECT_EQ(stats.at(0).live_allocations, 0u);
   EXPECT_EQ(stats.at(1).bytes_in_use, 0u);
@@ -183,7 +199,7 @@ TEST(SharedSegment, OwnerAccountingAttributesMaterializerOnly) {
 
 TEST(SharedSegment, UnresolvedAllocationsLandInOwnerMinusOne) {
   DeviceMemory mem(1 << 20);
-  (void)*mem.Allocate(128);  // no resolver installed
+  (void)*mem.Allocate(128);  // host-side: no lane, no instance
   const auto& stats = mem.owner_stats();
   ASSERT_TRUE(stats.count(-1));
   EXPECT_EQ(stats.at(-1).bytes_in_use, 256u);  // rounded to alignment
