@@ -37,7 +37,7 @@ Measured StreamKernel(Device& device, std::vector<DevicePtr<double>> bases,
     constexpr std::uint32_t kChunk = 32;
     for (std::uint32_t i = ctx.thread_id * kChunk; i < elements_per_block;
          i += ctx.block_threads * kChunk) {
-      auto g = ctx.Gather<double>();
+      auto g = ctx.Gather<double, kChunk>();
       for (std::uint32_t j = 0; j < kChunk; ++j) {
         g.Add(p + std::ptrdiff_t(i + j) * stride);
       }

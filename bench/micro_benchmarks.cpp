@@ -219,6 +219,37 @@ BENCHMARK(BM_EnsembleLaunchAmgmk)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
+/// Compute-bound speed gate: the launch-rsbench shape of bench/e2e
+/// (`-u 12 -w 8 -p 8 -l 128`, thread limit 32) on the test device. Few
+/// sectors per instruction, so its host time is lane resume and awaiter
+/// set-up, the layer whose cost grows fastest with the instance count.
+void BM_EnsembleLaunchRsbench(benchmark::State& state) {
+  apps::RegisterAllApps();
+  const int instances = int(state.range(0));
+  for (auto _ : state) {
+    sim::Device device(sim::DeviceSpec::TestDevice());
+    dgcf::RpcHost rpc(device);
+    dgcf::DeviceLibc libc(device);
+    dgcf::AppEnv env{&device, &rpc, &libc};
+    ensemble::EnsembleOptions opt;
+    opt.app = "rsbench";
+    for (int i = 0; i < instances; ++i) {
+      opt.instance_args.push_back({"-u", "12", "-w", "8", "-p", "8", "-l",
+                                   "128", "-s", StrFormat("%d", i + 1)});
+    }
+    opt.thread_limit = 32;
+    auto run = ensemble::RunEnsemble(env, opt);
+    benchmark::DoNotOptimize(run->kernel_cycles);
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) * instances);
+}
+BENCHMARK(BM_EnsembleLaunchRsbench)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

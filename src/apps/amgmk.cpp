@@ -174,12 +174,12 @@ constexpr std::uint32_t kRowsPerTask = 3;
 DeviceTask<void> RelaxRows(ThreadCtx& ctx, const AmgView& view,
                            std::uint64_t row0, std::uint32_t nrows,
                            DevicePtr<double> u_in, DevicePtr<double> u_out) {
-  auto header = ctx.LoadRun(view.row_ptr + row0, nrows + 1);
+  auto header = ctx.LoadRun<kRowsPerTask + 1>(view.row_ptr + row0, nrows + 1);
   co_await header;
   const std::uint32_t span_begin = header.Result(0);
   const std::uint32_t span_end = header.Result(nrows);
 
-  auto row_scalars = ctx.Gather<double>();
+  auto row_scalars = ctx.Gather<double, 3 * kRowsPerTask>();
   for (std::uint32_t r = 0; r < nrows; ++r) {
     row_scalars.Add(view.f + (row0 + r));
     row_scalars.Add(view.diag + (row0 + r));
@@ -209,7 +209,7 @@ DeviceTask<void> RelaxRows(ThreadCtx& ctx, const AmgView& view,
     k += chunk;
   }
   co_await ctx.Work(2 * (span_end - span_begin) + 10 * nrows);
-  auto updates = ctx.Scatter<double>();
+  auto updates = ctx.Scatter<double, kRowsPerTask>();
   for (std::uint32_t r = 0; r < nrows; ++r) {
     const double diag = row_scalars.Result(3 * r + 1);
     const double u_old = row_scalars.Result(3 * r + 2);

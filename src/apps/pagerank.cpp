@@ -148,7 +148,7 @@ struct PrView {
 DeviceTask<void> PropagateNode(ThreadCtx& ctx, const PrView& view,
                                std::uint64_t v, DevicePtr<double> rank_in,
                                DevicePtr<double> rank_out) {
-  auto header = ctx.LoadRun(view.row_ptr + v, 2);
+  auto header = ctx.LoadRun<2>(view.row_ptr + v, 2);
   co_await header;
   const std::uint32_t begin = header.Result(0);
   const std::uint32_t end = header.Result(1);

@@ -208,7 +208,7 @@ DeviceTask<void> RsDeviceLookup(ThreadCtx& ctx, const RsView& v,
     const std::uint64_t w = std::uint64_t(n) * params.n_windows + window;
 
     auto fit = v.fits + std::ptrdiff_t(w) * RsData::kFitDoubles;
-    auto fit_vals = ctx.LoadRun(fit, RsData::kFitDoubles);
+    auto fit_vals = ctx.LoadRun<RsData::kFitDoubles>(fit, RsData::kFitDoubles);
     co_await fit_vals;
     double t = fit_vals.Result(0) + fit_vals.Result(1) * e +
                fit_vals.Result(2) * e * e;
@@ -217,7 +217,8 @@ DeviceTask<void> RsDeviceLookup(ThreadCtx& ctx, const RsView& v,
     for (std::uint32_t p = 0; p < params.poles_per_window; ++p) {
       auto pole = v.poles + std::ptrdiff_t(w * params.poles_per_window + p) *
                                 RsData::kPoleDoubles;
-      auto pole_run = ctx.LoadRun(pole, RsData::kPoleDoubles);
+      auto pole_run =
+          ctx.LoadRun<RsData::kPoleDoubles>(pole, RsData::kPoleDoubles);
       co_await pole_run;
       double pole_vals[RsData::kPoleDoubles];
       for (std::uint32_t d = 0; d < RsData::kPoleDoubles; ++d) {

@@ -353,7 +353,7 @@ DeviceTask<void> XsDeviceLookup(ThreadCtx& ctx, const XsView& v,
     auto e_grid = v.nuclide_energy + std::ptrdiff_t(n) * grid;
     auto xs =
         v.nuclide_xs + (std::ptrdiff_t(n) * grid + std::ptrdiff_t(ig)) * kC;
-    auto values = ctx.Gather<double>();
+    auto values = ctx.Gather<double, 2 + 2 * kC>();
     values.Add(e_grid + ig);
     values.Add(e_grid + ig + 1);
     for (std::uint32_t c = 0; c < 2 * kC; ++c) values.Add(xs + c);

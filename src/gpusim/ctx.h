@@ -20,6 +20,7 @@
 #include "gpusim/address.h"
 #include "gpusim/lane.h"
 #include "gpusim/task.h"
+#include "support/status.h"
 
 namespace dgc::sim {
 
@@ -109,32 +110,39 @@ struct SyncAwaiter : OpAwaiterBase {
   void await_resume() const { RaisePendingTrap(); }
 };
 
-/// Pipelined batch load: up to kMaxGather *independent* loads issued as one
-/// memory instruction. Models the memory-level parallelism a streaming
+/// Pipelined batch load: up to N ≤ kMaxGather *independent* loads issued as
+/// one memory instruction. Models the memory-level parallelism a streaming
 /// kernel gets from hardware scoreboarding: the batch pays ONE latency trip
 /// plus bandwidth-serialized sector service, instead of one latency per
 /// element. Use for loads whose addresses do not depend on each other
 /// (CSR rows, gathers); keep dependent chains (binary search, pointer
 /// chasing) on scalar Load — that latency is real.
+///
+/// N is storage only: the slots live inline in the awaiter, i.e. in the
+/// frame of the coroutine that declares it, and every simulated lane keeps
+/// that frame alive. A batch with a fixed bound should say so
+/// (`Gather<double, 3>()`, `LoadRun<4>(p, 4)`); the warp sees only the
+/// filled count, so N never changes timing or stats.
 inline constexpr std::uint32_t kMaxGather = 96;
 
-template <typename T>
+template <typename T, std::uint32_t N = kMaxGather>
 struct GatherAwaiter {
   static_assert(sizeof(T) <= 8 && std::is_trivially_copyable_v<T>);
+  static_assert(1 <= N && N <= kMaxGather);
 
-  BatchSlot slots[kMaxGather];
+  BatchSlot slots[N];
   std::uint32_t count = 0;
   Lane* lane = nullptr;
 
   GatherAwaiter() = default;
 
-  /// Appends one element; silently ignored beyond kMaxGather (callers
-  /// chunk; Full() lets them check).
+  /// Appends one element; silently ignored beyond N (callers chunk;
+  /// Full() lets them check).
   void Add(DevicePtr<T> p) {
-    if (count >= kMaxGather) return;
+    if (count >= N) return;
     slots[count++] = BatchSlot{p.addr, p.host, 0, sizeof(T)};
   }
-  bool Full() const { return count >= kMaxGather; }
+  bool Full() const { return count >= N; }
 
   bool await_ready() const noexcept { return count == 0; }
   void await_suspend(std::coroutine_handle<> h) {
@@ -151,20 +159,22 @@ struct GatherAwaiter {
   T Result(std::uint32_t i) const { return FromBits<T>(slots[i].result); }
 };
 
-/// Pipelined batch store — the write-side counterpart of GatherAwaiter.
-/// Values are staged in the slots at Add time and written at issue.
-template <typename T>
+/// Pipelined batch store — the write-side counterpart of GatherAwaiter,
+/// with the same storage bound N. Values are staged in the slots at Add
+/// time and written at issue.
+template <typename T, std::uint32_t N = kMaxGather>
 struct ScatterAwaiter {
   static_assert(sizeof(T) <= 8 && std::is_trivially_copyable_v<T>);
+  static_assert(1 <= N && N <= kMaxGather);
 
-  BatchSlot slots[kMaxGather];
+  BatchSlot slots[N];
   std::uint32_t count = 0;
 
   void Add(DevicePtr<T> p, T value) {
-    if (count >= kMaxGather) return;
+    if (count >= N) return;
     slots[count++] = BatchSlot{p.addr, p.host, ToBits(value), sizeof(T)};
   }
-  bool Full() const { return count >= kMaxGather; }
+  bool Full() const { return count >= N; }
 
   bool await_ready() const noexcept { return count == 0; }
   void await_suspend(std::coroutine_handle<> h) {
@@ -209,6 +219,8 @@ static_assert(std::is_trivially_destructible_v<ExternalAwaiter>);
 static_assert(std::is_trivially_destructible_v<LoadAwaiter<double>>);
 static_assert(std::is_trivially_destructible_v<GatherAwaiter<double>>);
 static_assert(std::is_trivially_destructible_v<ScatterAwaiter<double>>);
+static_assert(std::is_trivially_destructible_v<GatherAwaiter<double, 1>>);
+static_assert(std::is_trivially_destructible_v<ScatterAwaiter<double, 1>>);
 static_assert(std::is_trivially_destructible_v<StoreAwaiter<double>>);
 static_assert(std::is_trivially_destructible_v<AtomicAwaiter<double>>);
 
@@ -292,31 +304,37 @@ struct ThreadCtx {
     return detail::WorkAwaiter(cycles);
   }
 
-  /// Empty gather to fill with Add() and then co_await:
+  /// Empty gather of capacity N to fill with Add() and then co_await:
   ///   auto g = ctx.Gather<double>();
   ///   for (...) g.Add(ptrs[i]);
   ///   co_await g;           // one pipelined instruction
   ///   ... g.Result(i) ...
-  template <typename T>
-  detail::GatherAwaiter<T> Gather() const {
+  /// The slots live in the calling coroutine's frame; give a fixed-bound
+  /// batch its bound (`Gather<double, 12>()`) and keep the default
+  /// kMaxGather for loops that chunk.
+  template <typename T, std::uint32_t N = detail::kMaxGather>
+  detail::GatherAwaiter<T, N> Gather() const {
     return {};
   }
 
   /// Gather of `count` consecutive elements starting at `p` (a streaming
-  /// run). count must be ≤ kMaxGather.
-  template <typename T>
-  detail::GatherAwaiter<T> LoadRun(DevicePtr<T> p, std::uint32_t count) const {
-    detail::GatherAwaiter<T> g;
+  /// run) into a gather of capacity N; count must be ≤ N.
+  template <std::uint32_t N = detail::kMaxGather, typename T>
+  detail::GatherAwaiter<T, N> LoadRun(DevicePtr<T> p,
+                                      std::uint32_t count) const {
+    DGC_CHECK(count <= N);
+    detail::GatherAwaiter<T, N> g;
     for (std::uint32_t i = 0; i < count; ++i) g.Add(p + i);
     return g;
   }
 
-  /// Empty scatter (pipelined independent stores) to fill with Add():
+  /// Empty scatter of capacity N (pipelined independent stores) to fill
+  /// with Add():
   ///   auto s = ctx.Scatter<double>();
   ///   for (...) s.Add(out + i, value[i]);
   ///   co_await s;
-  template <typename T>
-  detail::ScatterAwaiter<T> Scatter() const {
+  template <typename T, std::uint32_t N = detail::kMaxGather>
+  detail::ScatterAwaiter<T, N> Scatter() const {
     return {};
   }
 

@@ -30,7 +30,15 @@ sim::DeviceTask<void> WorkerLoop(TeamCtx team) {
     co_await team.Sync();  // wait for the initial thread to publish work
     if (team.state->phase == TeamState::Phase::kTerminate) co_return;
     if (team.state->phase == TeamState::Phase::kParallel) {
-      co_await (*team.state->job)(*team.hw, team.team_rank, team.team_size);
+      ++team.state->workers_in_job;
+      std::exception_ptr error;
+      try {
+        co_await (*team.state->job)(*team.hw, team.team_rank, team.team_size);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      --team.state->workers_in_job;
+      if (error) std::rethrow_exception(error);
     }
     co_await team.Sync();  // join
   }
@@ -47,8 +55,26 @@ sim::DeviceTask<void> Parallel(TeamCtx& team, const ParallelBody& body) {
   }
   team.state->phase = TeamState::Phase::kParallel;
   team.state->job = &body;
-  co_await team.Sync();  // release workers
-  co_await body(*team.hw, team.team_rank, team.team_size);
+  std::exception_ptr error;
+  try {
+    co_await team.Sync();  // release workers
+    co_await body(*team.hw, team.team_rank, team.team_size);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  if (error) {
+    // Workers may be parked at a barrier inside the body, which this
+    // thread's join releases: join until none is left inside it. Traps
+    // re-raised at these resumes (an expired watchdog fires at every
+    // resume) add nothing to the first.
+    do {
+      try {
+        co_await team.Sync();
+      } catch (...) {
+      }
+    } while (team.state->workers_in_job != 0);
+    std::rethrow_exception(error);
+  }
   co_await team.Sync();  // join
   team.state->phase = TeamState::Phase::kIdle;
   team.state->job = nullptr;

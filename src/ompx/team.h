@@ -34,6 +34,9 @@ struct TeamState {
   enum class Phase : std::uint8_t { kIdle, kParallel, kTerminate };
   Phase phase = Phase::kIdle;
   const ParallelBody* job = nullptr;  ///< valid while phase == kParallel
+  /// Workers currently inside `job` (entered it and have not yet left,
+  /// by finishing or by dying).
+  std::uint32_t workers_in_job = 0;
 };
 
 /// Per-block control: one barrier + state per local team. Created by the
@@ -72,6 +75,12 @@ sim::DeviceTask<void> WorkerLoop(TeamCtx team);
 /// Runs `body` on every thread of the team (OpenMP `parallel`). Must be
 /// called by the team's initial thread (rank 0); returns when all threads
 /// joined. With team_size == 1 the body simply runs inline.
+///
+/// If rank 0 leaves `body` by an exception (a trap), it still joins, and
+/// keeps joining until no live worker is inside `body`, before the
+/// exception propagates: the body's captures live in frames that unwinding
+/// destroys. The team stays marked in a parallel region, so the ensemble
+/// loader does not hand it another instance.
 sim::DeviceTask<void> Parallel(TeamCtx& team, const ParallelBody& body);
 
 /// Loop scheduling for ParallelFor.

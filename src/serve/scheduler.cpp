@@ -30,7 +30,8 @@ struct Scheduler::DeviceSlot {
 };
 
 /// One launch the pool is simulating (or has simulated). Completion is
-/// folded back into the event stream at deterministic virtual times.
+/// folded back into the event stream at deterministic virtual times; the
+/// launch is retired once the loop has handled all of those events.
 struct Scheduler::InFlight {
   std::uint32_t id = 0;
   std::uint32_t slot = 0;
@@ -46,6 +47,7 @@ struct Scheduler::InFlight {
 
   std::future<void> future;
   bool resolved = false;
+  std::size_t events_left = 0;  ///< kJobDone + kDeviceFree not yet handled
   bool launch_error = false;  ///< RunEnsemble itself returned a Status error
   std::string error_detail;
   dgcf::RunResult run;
@@ -58,7 +60,7 @@ Scheduler::Scheduler(ServeConfig config)
 
 Scheduler::~Scheduler() {
   // Never leave pool workers touching dying slots: join everything.
-  for (auto& fl : in_flight_) {
+  for (auto& [id, fl] : in_flight_) {
     if (fl->future.valid() && !fl->resolved) fl->future.get();
   }
 }
@@ -160,8 +162,14 @@ Status Scheduler::Run() {
       const Event event = events_.top();
       events_.pop();
       switch (event.kind) {
-        case EventKind::kJobDone: HandleJobDone(event); break;
-        case EventKind::kDeviceFree: HandleDeviceFree(event); break;
+        case EventKind::kJobDone:
+          HandleJobDone(event);
+          LaunchEventHandled(event.a);
+          break;
+        case EventKind::kDeviceFree:
+          HandleDeviceFree(event);
+          LaunchEventHandled(event.a);
+          break;
         case EventKind::kBreakerProbe: HandleBreakerProbe(event); break;
         case EventKind::kDrain: BeginDrain("drain-at"); break;
         case EventKind::kArrival: HandleArrival(event); break;
@@ -226,7 +234,7 @@ void Scheduler::HandleArrival(const Event& event) {
 }
 
 void Scheduler::HandleJobDone(const Event& event) {
-  InFlight& fl = *in_flight_[event.a];
+  InFlight& fl = *in_flight_.at(event.a);
   const JobId id = fl.jobs[event.b];
   JobRecord& record = records_[id];
   CircuitBreaker& breaker = BreakerFor(fl.app);
@@ -296,12 +304,17 @@ void Scheduler::HandleJobDone(const Event& event) {
 }
 
 void Scheduler::HandleDeviceFree(const Event& event) {
-  InFlight& fl = *in_flight_[event.a];
+  InFlight& fl = *in_flight_.at(event.a);
   DeviceSlot& slot = *slots_[fl.slot];
   slot.busy = false;
   Log(StrFormat("@%llu free device=%u launch=%u cycles=%llu",
                 (unsigned long long)now_, fl.slot, fl.id,
                 (unsigned long long)(event.cycle - fl.start)));
+}
+
+void Scheduler::LaunchEventHandled(std::uint32_t launch_id) {
+  auto it = in_flight_.find(launch_id);
+  if (--it->second->events_left == 0) in_flight_.erase(it);
 }
 
 void Scheduler::HandleBreakerProbe(const Event& event) {
@@ -391,7 +404,7 @@ void Scheduler::StartLaunches() {
 }
 
 bool Scheduler::ProbeInFlight(const std::string& app) const {
-  for (const auto& fl : in_flight_) {
+  for (const auto& [id, fl] : in_flight_) {
     if (fl->probe && fl->app == app && slots_[fl->slot]->busy &&
         slots_[fl->slot]->launch_id == fl->id) {
       return true;
@@ -531,18 +544,19 @@ bool Scheduler::StartOneLaunch(std::uint32_t s) {
         raw->error_detail = result.status().message();
       }
     });
-    in_flight_.push_back(std::move(fl));
+    in_flight_.emplace(raw->id, std::move(fl));
     return true;
   }
   return false;
 }
 
 void Scheduler::ResolveInFlight() {
-  for (auto& fl_ptr : in_flight_) {
+  for (auto& [id, fl_ptr] : in_flight_) {
     InFlight& fl = *fl_ptr;
     if (fl.resolved || !fl.future.valid()) continue;
     fl.future.get();
     fl.resolved = true;
+    fl.events_left = fl.jobs.size() + 1;
     const std::uint64_t duration =
         fl.launch_error ? 1 : fl.run.total_cycles();
     const std::uint64_t free_cycle = fl.start + duration;

@@ -129,6 +129,8 @@ class Scheduler {
   const std::vector<JobRecord>& records() const { return records_; }
   ServeReport report() const;
   std::uint64_t now() const { return now_; }
+  /// Launches started and not yet retired; 0 whenever Run has returned.
+  std::size_t live_launches() const { return in_flight_.size(); }
 
  private:
   struct DeviceSlot;
@@ -166,6 +168,7 @@ class Scheduler {
   void HandleArrival(const Event& event);
   void HandleJobDone(const Event& event);
   void HandleDeviceFree(const Event& event);
+  void LaunchEventHandled(std::uint32_t launch_id);
   void HandleBreakerProbe(const Event& event);
   void BeginDrain(const char* reason);
   void FinalizeReject(JobId id, RejectReason reason);
@@ -192,7 +195,8 @@ class Scheduler {
   AdmissionController admission_;
   std::map<std::string, CircuitBreaker> breakers_;
   std::vector<std::unique_ptr<DeviceSlot>> slots_;
-  std::vector<std::unique_ptr<InFlight>> in_flight_;  ///< by launch id
+  /// Live launches by id: started and not yet retired (see InFlight).
+  std::map<std::uint32_t, std::unique_ptr<InFlight>> in_flight_;
   std::unique_ptr<ThreadPool> pool_;  ///< accelerates concurrent launches
   ServeReport tally_;                 ///< counters not derivable from records
 };

@@ -63,12 +63,14 @@ TEST(Gather, EmptyGatherIsReadyImmediately) {
 }
 
 TEST(Gather, CapacitySaturatesAtKMaxGather) {
+  // The default capacity is kMaxGather; a sized gather saturates at its own
+  // N the same way.
   auto dev = MakeDevice();
   auto buf = *dev->Malloc((detail::kMaxGather + 8) * sizeof(double));
   auto p = buf.Typed<double>();
   LaunchConfig cfg{.grid = {1, 1, 1}, .block = {1, 1, 1}};
-  bool full_before_extra = false;
-  std::uint32_t count = 0;
+  bool full_before_extra = false, sized_full_before_extra = false;
+  std::uint32_t count = 0, sized_count = 0;
   auto result = dev->Launch(cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
     auto g = ctx.Gather<double>();
     for (std::uint32_t i = 0; i < detail::kMaxGather + 8; ++i) {
@@ -77,10 +79,75 @@ TEST(Gather, CapacitySaturatesAtKMaxGather) {
     }
     count = g.count;
     co_await g;
+    auto sized = ctx.Gather<double, 5>();
+    for (std::uint32_t i = 0; i < 5 + 8; ++i) {
+      if (i == 4) {
+        EXPECT_FALSE(sized.Full());
+      }
+      if (i == 5) sized_full_before_extra = sized.Full();
+      sized.Add(p + i);
+    }
+    sized_count = sized.count;
+    co_await sized;
   });
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(full_before_extra);
   EXPECT_EQ(count, detail::kMaxGather);  // extras ignored
+  EXPECT_TRUE(sized_full_before_extra);
+  EXPECT_EQ(sized_count, 5u);
+}
+
+/// Per lane: a strided gather, a streaming run and a scatter of kPer
+/// elements, through awaiters of capacity N.
+constexpr std::uint32_t kPer = 6;
+
+template <std::uint32_t N>
+std::pair<LaunchResult, std::vector<double>> RunBatchesWithCapacity() {
+  auto dev = MakeDevice();
+  const std::uint32_t n = 2 * 64 * kPer;
+  auto in = *dev->Malloc(n * sizeof(double));
+  auto out = *dev->Malloc(n * sizeof(double));
+  auto pi = in.Typed<double>(), po = out.Typed<double>();
+  for (std::uint32_t i = 0; i < n; ++i) pi[i] = 0.5 * i;
+  LaunchConfig cfg{.grid = {2, 1, 1}, .block = {64, 1, 1}};
+  auto result = dev->Launch(cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
+    const std::uint32_t gid =
+        ctx.block_id * ctx.block_threads + ctx.thread_id;
+    const std::uint32_t base = (gid * 7) % (n / kPer) * kPer;
+    auto g = ctx.Gather<double, N>();
+    for (std::uint32_t j = 0; j < kPer; ++j) g.Add(pi + (base + j));
+    co_await g;
+    auto r = ctx.LoadRun<N>(pi + gid * kPer, kPer);
+    co_await r;
+    auto s = ctx.Scatter<double, N>();
+    for (std::uint32_t j = 0; j < kPer; ++j) {
+      s.Add(po + (gid * kPer + j), g.Result(j) + r.Result(j));
+    }
+    co_await s;
+  });
+  DGC_CHECK(result.ok());
+  return {std::move(*result), std::vector<double>(po.host, po.host + n)};
+}
+
+TEST(Gather, SizedCapacityIsStorageOnly) {
+  // The same batches through sized and default-capacity awaiters: the warp
+  // sees only the filled count, so cycles, stats and memory agree.
+  const auto [sized, sized_out] = RunBatchesWithCapacity<kPer>();
+  const auto [full, full_out] = RunBatchesWithCapacity<detail::kMaxGather>();
+  EXPECT_EQ(sized.cycles, full.cycles);
+  EXPECT_EQ(sized.stats, full.stats);
+  EXPECT_EQ(sized.instance_stats, full.instance_stats);
+  EXPECT_EQ(sized_out, full_out);
+  EXPECT_EQ(sized.stats.load_instructions, 8u);  // 2 batches x 4 warps
+  EXPECT_EQ(sized.stats.store_instructions, 4u);
+}
+
+TEST(GatherDeathTest, LoadRunPastCapacityFailsItsCheck) {
+  auto dev = MakeDevice();
+  auto buf = *dev->Malloc(8 * sizeof(double));
+  auto p = buf.Typed<double>();
+  ThreadCtx ctx;
+  EXPECT_DEATH({ (void)ctx.LoadRun<4>(p, 5); }, "count <= N");
 }
 
 TEST(Gather, BatchIsFasterThanDependentScalarLoads) {

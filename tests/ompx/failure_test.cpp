@@ -57,6 +57,35 @@ TEST(FailureInjection, MainThreadThrowsBetweenRegions) {
   EXPECT_EQ(*p, 64u);  // the first region completed
 }
 
+TEST(FailureInjection, MainThreadThrowInsideRegionWaitsForWorkers) {
+  // Rank 0 fails inside the region while its workers are still in the
+  // body, parked at a team barrier (the reduction) that rank 0 never
+  // reaches. The body captures rank 0's locals by reference, so the
+  // exception may only unwind them once every worker has left the body.
+  auto dev = MakeDevice();
+  std::uint32_t finished = 0, finished_at_unwind = 0;
+  TeamsConfig cfg{.num_teams = 1, .thread_limit = 64};
+  auto result = LaunchTeams(*dev, cfg, [&](TeamCtx& team) -> DeviceTask<void> {
+    const double weight = 2.0;  // lives in this (rank 0's) frame
+    try {
+      co_await Parallel(team, [&](ThreadCtx& ctx, std::uint32_t rank,
+                                  std::uint32_t) -> DeviceTask<void> {
+        if (rank == 0) throw std::runtime_error("rank 0 died");
+        co_await ctx.Work(50 + rank);
+        const double total = co_await TeamReduceSum(team, weight);
+        (void)total;
+        ++finished;
+      });
+    } catch (const std::runtime_error&) {
+      finished_at_unwind = finished;
+    }
+  });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->failure_count, 0u);
+  EXPECT_EQ(finished, 63u);
+  EXPECT_EQ(finished_at_unwind, 63u);
+}
+
 TEST(FailureInjection, MultipleTeamsFailIndependently) {
   auto dev = MakeDevice();
   auto buf = *dev->Malloc(8 * sizeof(std::uint64_t));

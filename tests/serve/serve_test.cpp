@@ -540,6 +540,8 @@ std::string RunLogged(unsigned jobs, std::uint32_t devices) {
   EXPECT_TRUE(scheduler.Run().ok());
   scheduler.EnqueueStream(stream);
   EXPECT_TRUE(scheduler.Run().ok());
+  // Every launch is retired once its completion events are handled.
+  EXPECT_EQ(scheduler.live_launches(), 0u);
   scheduler.WriteReport();
   return log.str();
 }
