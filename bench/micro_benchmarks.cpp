@@ -14,7 +14,6 @@
 #include "gpusim/coalesce.h"
 #include "gpusim/ctx.h"
 #include "gpusim/device.h"
-#include "support/arena.h"
 #include "support/rng.h"
 #include "support/str.h"
 
@@ -27,15 +26,6 @@ void BM_RngNextU64(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(rng.NextU64());
 }
 BENCHMARK(BM_RngNextU64);
-
-void BM_ArenaAllocate(benchmark::State& state) {
-  Arena arena(1 << 20);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(arena.Allocate(48));
-    if (arena.bytes_allocated() > (1 << 24)) arena.Reset();
-  }
-}
-BENCHMARK(BM_ArenaAllocate);
 
 void BM_TokenizeCommandLine(benchmark::State& state) {
   const std::string line = "-a 1 -b -c 'data file.bin' --mode=fast -x\\ y";

@@ -93,5 +93,5 @@ int main() {
                          double(run4->kernel_cycles);
   std::printf("\nnaive speedup vs 4 serial runs of the largest size: ~%.1fx\n",
               speedup);
-  return 0;
+  return run1->all_ok() && run4->all_ok() ? 0 : 1;
 }

@@ -7,15 +7,6 @@
 
 namespace dgc::apps {
 
-std::vector<std::string> ExtractArgs(int argc, dgcf::DeviceArgv argv) {
-  std::vector<std::string> out;
-  out.reserve(std::size_t(argc));
-  for (int i = 0; i < argc; ++i) {
-    out.push_back(dgcf::DeviceLibc::ToString(argv[i]));
-  }
-  return out;
-}
-
 std::vector<std::string> ExtractOptionArgs(int argc, dgcf::DeviceArgv argv) {
   std::vector<std::string> out;
   out.reserve(argc > 0 ? std::size_t(argc) - 1 : 0);

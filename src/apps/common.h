@@ -13,11 +13,8 @@
 
 namespace dgc::apps {
 
-/// Copies a device argv into host strings (an untimed setup path; see
-/// dgcf/libc.h). Includes argv[0].
-std::vector<std::string> ExtractArgs(int argc, dgcf::DeviceArgv argv);
-
-/// Like ExtractArgs but without argv[0] — the form ArgParser expects.
+/// Copies a device argv into host strings without argv[0], the form
+/// ArgParser expects (an untimed setup path; see dgcf/libc.h).
 std::vector<std::string> ExtractOptionArgs(int argc, dgcf::DeviceArgv argv);
 
 /// FNV-1a, used for the apps' verification checksums — matching the proxy

@@ -51,14 +51,6 @@ ArgvBlock::ArgvBlock(ArgvBlock&& o) noexcept
       argv_(std::move(o.argv_)),
       transfer_cycles_(o.transfer_cycles_) {}
 
-ArgvBlock& ArgvBlock::operator=(ArgvBlock&& o) noexcept {
-  if (this != &o) {
-    this->~ArgvBlock();
-    new (this) ArgvBlock(std::move(o));
-  }
-  return *this;
-}
-
 ArgvBlock::~ArgvBlock() {
   if (device_ != nullptr && cache_.host != nullptr) {
     const Status s = device_->Free(cache_.addr);

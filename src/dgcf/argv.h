@@ -25,7 +25,6 @@ class ArgvBlock {
       const std::vector<std::vector<std::string>>& per_instance_args);
 
   ArgvBlock(ArgvBlock&& o) noexcept;
-  ArgvBlock& operator=(ArgvBlock&& o) noexcept;
   ~ArgvBlock();
 
   std::uint32_t instances() const { return std::uint32_t(argc_.size()); }
@@ -36,7 +35,6 @@ class ArgvBlock {
 
   /// H2D cycles paid to map the strings.
   std::uint64_t transfer_cycles() const { return transfer_cycles_; }
-  std::uint64_t cache_bytes() const { return cache_.bytes; }
 
  private:
   ArgvBlock() = default;

@@ -93,12 +93,6 @@ void DeviceLibc::Abort(const char* why) {
   throw sim::DeviceTrap(sim::TrapKind::kAbort, why);
 }
 
-void DeviceLibc::AssertFail(const char* expr, const char* file, int line) {
-  throw sim::DeviceTrap(
-      sim::TrapKind::kAbort,
-      StrFormat("assertion `%s' failed at %s:%d", expr, file, line));
-}
-
 sim::DeviceTask<void> DeviceLibc::Free(sim::ThreadCtx& ctx,
                                        sim::DeviceAddr addr) {
   // free(NULL) is a no-op and must not pay the heap-lock cost.

@@ -52,10 +52,6 @@ class DeviceLibc {
   /// [[noreturn]] in spirit — always throws DeviceTrap(kAbort).
   static void Abort(const char* why = "abort() called");
 
-  /// assert(3) failure path: formats `expr` at file:line into the trap
-  /// message and aborts the instance.
-  static void AssertFail(const char* expr, const char* file, int line);
-
   /// Result of AcquireSharedGroup: one buffer per requested size (null for
   /// zero sizes), plus whether this instance materialized the group and must
   /// fill it. `ok == false` means out of memory — nothing is held.

@@ -1,5 +1,6 @@
 #include "ensemble/argscript.h"
 
+#include <cstdint>
 #include <optional>
 
 #include "ensemble/argfile.h"
@@ -11,7 +12,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Integer expression evaluator: + - * / % ( ) over int64, variables i and n.
-// Recursive descent; whole input must be consumed.
+// Recursive descent; whole input must be consumed. Every operation that
+// would overflow int64 is an error, and so is nesting past kMaxDepth.
 // ---------------------------------------------------------------------------
 class ExprParser {
  public:
@@ -28,6 +30,8 @@ class ExprParser {
   }
 
  private:
+  Status Overflow() const { return Error("integer overflow"); }
+
   Status Error(std::string_view what) const {
     return Status(ErrorCode::kInvalidArgument,
                   StrFormat("expression '%.*s': %.*s at offset %zu",
@@ -53,10 +57,10 @@ class ExprParser {
     while (true) {
       if (Consume('+')) {
         DGC_ASSIGN_OR_RETURN(std::int64_t rhs, ParseProduct());
-        lhs += rhs;
+        if (__builtin_add_overflow(lhs, rhs, &lhs)) return Overflow();
       } else if (Consume('-')) {
         DGC_ASSIGN_OR_RETURN(std::int64_t rhs, ParseProduct());
-        lhs -= rhs;
+        if (__builtin_sub_overflow(lhs, rhs, &lhs)) return Overflow();
       } else {
         return lhs;
       }
@@ -68,14 +72,16 @@ class ExprParser {
     while (true) {
       if (Consume('*')) {
         DGC_ASSIGN_OR_RETURN(std::int64_t rhs, ParseUnary());
-        lhs *= rhs;
+        if (__builtin_mul_overflow(lhs, rhs, &lhs)) return Overflow();
       } else if (Consume('/')) {
         DGC_ASSIGN_OR_RETURN(std::int64_t rhs, ParseUnary());
         if (rhs == 0) return Error("division by zero");
+        if (rhs == -1 && lhs == INT64_MIN) return Overflow();
         lhs /= rhs;
       } else if (Consume('%')) {
         DGC_ASSIGN_OR_RETURN(std::int64_t rhs, ParseUnary());
         if (rhs == 0) return Error("modulo by zero");
+        if (rhs == -1 && lhs == INT64_MIN) return Overflow();
         lhs %= rhs;
       } else {
         return lhs;
@@ -83,12 +89,18 @@ class ExprParser {
     }
   }
 
+  // Every level of nesting, '(' or unary '-', passes through here.
   StatusOr<std::int64_t> ParseUnary() {
+    if (++depth_ > kMaxDepth) return Error("expression nests too deeply");
+    std::int64_t v = 0;
     if (Consume('-')) {
-      DGC_ASSIGN_OR_RETURN(std::int64_t v, ParseUnary());
-      return -v;
+      DGC_ASSIGN_OR_RETURN(std::int64_t operand, ParseUnary());
+      if (__builtin_sub_overflow(0, operand, &v)) return Overflow();
+    } else {
+      DGC_ASSIGN_OR_RETURN(v, ParseAtom());
     }
-    return ParseAtom();
+    --depth_;
+    return v;
   }
 
   StatusOr<std::int64_t> ParseAtom() {
@@ -111,7 +123,10 @@ class ExprParser {
     if (c >= '0' && c <= '9') {
       std::int64_t v = 0;
       while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        v = v * 10 + (text_[pos_] - '0');
+        if (__builtin_mul_overflow(v, 10, &v) ||
+            __builtin_add_overflow(v, text_[pos_] - '0', &v)) {
+          return Overflow();
+        }
         ++pos_;
       }
       return v;
@@ -120,7 +135,10 @@ class ExprParser {
   }
 
   std::string_view text_;
+  static constexpr int kMaxDepth = 64;  // argscript.h documents the limit
+
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::int64_t i_, n_;
 };
 
@@ -162,7 +180,11 @@ StatusOr<std::optional<std::uint64_t>> GeneratorLength(std::string_view body) {
     if (step == 0 || (step > 0 && last < first) || (step < 0 && last > first)) {
       return Status(ErrorCode::kInvalidArgument, "empty or diverging seq");
     }
-    return std::optional<std::uint64_t>((std::uint64_t)((last - first) / step) + 1);
+    std::int64_t span = 0;
+    if (__builtin_sub_overflow(last, first, &span)) {
+      return Status(ErrorCode::kInvalidArgument, "seq range overflows int64");
+    }
+    return std::optional<std::uint64_t>(std::uint64_t(span / step) + 1);
   }
   return std::optional<std::uint64_t>();
 }
@@ -213,6 +235,7 @@ StatusOr<std::string> ExpandScript(std::string_view script,
   Rng rng(default_seed);
   std::string out;
   std::size_t line_no = 0;
+  std::uint64_t expanded_lines = 0;  // instances emitted so far
 
   for (std::string_view raw : SplitChar(script, '\n')) {
     ++line_no;
@@ -275,6 +298,13 @@ StatusOr<std::string> ExpandScript(std::string_view script,
       }
     }
     if (count == 0) count = 1;
+    if (count > kMaxScriptInstances - expanded_lines) {
+      return fail(Status(
+          ErrorCode::kInvalidArgument,
+          StrFormat("script expands to more than %llu instances",
+                    (unsigned long long)kMaxScriptInstances)));
+    }
+    expanded_lines += count;
 
     for (std::uint64_t i = 0; i < count; ++i) {
       std::string expanded;

@@ -19,9 +19,12 @@
 // Rules: every {seq ...} on a line must have the same length, which sets
 // the line's instance count (or must equal the @repeat count when both are
 // present); `i` is the 0-based instance index of the line, `n` the line's
-// instance count. Expansion is deterministic for a given seed.
+// instance count. Expansion is deterministic for a given seed. Arithmetic is
+// checked: int64 overflow, division or modulo by zero, and nesting deeper
+// than 64 levels are errors, never undefined behaviour.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +32,12 @@
 #include "support/status.h"
 
 namespace dgc::ensemble {
+
+/// Most instances one script may expand to, summed over its lines. Each
+/// line's count is checked against what is left before the line expands,
+/// so `@repeat 99999999999 : ...` or a huge `{seq ...}` is rejected at once
+/// instead of expanding for minutes. A constant, not an option.
+inline constexpr std::uint64_t kMaxScriptInstances = std::uint64_t(1) << 16;
 
 /// Expands a script into plain argument-file text (one line per instance).
 StatusOr<std::string> ExpandScript(std::string_view script,

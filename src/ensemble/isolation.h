@@ -62,7 +62,6 @@ class IsolatedGlobals {
   /// Releases the device segments.
   void Release(sim::Device& device);
 
-  std::uint64_t segment_bytes() const { return total_bytes_; }
   std::uint32_t replicas() const { return std::uint32_t(segments_.size()); }
   GlobalsMode mode() const { return mode_; }
 

@@ -44,7 +44,6 @@ struct DevicePtr {
   DeviceAddr addr = 0;
   T* host = nullptr;
 
-  constexpr bool IsNull() const { return host == nullptr; }
   constexpr explicit operator bool() const { return host != nullptr; }
 
   constexpr DevicePtr operator+(std::ptrdiff_t i) const {

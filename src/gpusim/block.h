@@ -72,8 +72,6 @@ class Block {
   SM* sm() const { return sm_; }
   std::uint32_t id() const { return id_; }
   std::uint32_t threads() const { return std::uint32_t(lanes_.size()); }
-  std::uint32_t warp_count() const { return std::uint32_t(warps_.size()); }
-  std::uint32_t live_lanes() const { return live_; }
   LaunchContext* launch_context() const { return lc_; }
 
   /// Slot for higher layers (the ompx team state machine) to attach

@@ -224,38 +224,12 @@ static_assert(std::is_trivially_destructible_v<ScatterAwaiter<double, 1>>);
 static_assert(std::is_trivially_destructible_v<StoreAwaiter<double>>);
 static_assert(std::is_trivially_destructible_v<AtomicAwaiter<double>>);
 
-// Atomic functional updates, applied by the warp at issue time.
+// Atomic add, applied functionally by the warp at issue time.
 template <typename T>
 std::uint64_t ApplyAdd(void* host, std::uint64_t operand) {
   T* p = static_cast<T*>(host);
   const T old = *p;
   *p = T(old + FromBits<T>(operand));
-  return ToBits(old);
-}
-
-template <typename T>
-std::uint64_t ApplyMin(void* host, std::uint64_t operand) {
-  T* p = static_cast<T*>(host);
-  const T old = *p;
-  const T v = FromBits<T>(operand);
-  if (v < old) *p = v;
-  return ToBits(old);
-}
-
-template <typename T>
-std::uint64_t ApplyMax(void* host, std::uint64_t operand) {
-  T* p = static_cast<T*>(host);
-  const T old = *p;
-  const T v = FromBits<T>(operand);
-  if (v > old) *p = v;
-  return ToBits(old);
-}
-
-template <typename T>
-std::uint64_t ApplyExch(void* host, std::uint64_t operand) {
-  T* p = static_cast<T*>(host);
-  const T old = *p;
-  *p = FromBits<T>(operand);
   return ToBits(old);
 }
 
@@ -285,18 +259,6 @@ struct ThreadCtx {
   template <typename T>
   detail::AtomicAwaiter<T> AtomicAdd(DevicePtr<T> p, T v) const {
     return detail::AtomicAwaiter<T>(p, v, &detail::ApplyAdd<T>);
-  }
-  template <typename T>
-  detail::AtomicAwaiter<T> AtomicMin(DevicePtr<T> p, T v) const {
-    return detail::AtomicAwaiter<T>(p, v, &detail::ApplyMin<T>);
-  }
-  template <typename T>
-  detail::AtomicAwaiter<T> AtomicMax(DevicePtr<T> p, T v) const {
-    return detail::AtomicAwaiter<T>(p, v, &detail::ApplyMax<T>);
-  }
-  template <typename T>
-  detail::AtomicAwaiter<T> AtomicExch(DevicePtr<T> p, T v) const {
-    return detail::AtomicAwaiter<T>(p, v, &detail::ApplyExch<T>);
   }
 
   /// Pure compute for `cycles` SM cycles (contends for issue pipes).

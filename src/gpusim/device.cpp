@@ -1,7 +1,5 @@
 #include "gpusim/device.h"
 
-#include <cstring>
-
 #include "gpusim/launch_context.h"
 #include "support/str.h"
 
@@ -18,22 +16,6 @@ Device::Device(DeviceSpec spec)
 std::uint64_t TransferCycles(const DeviceSpec& spec, std::uint64_t bytes) {
   return spec.pcie_latency_cycles +
          std::uint64_t(double(bytes) / spec.pcie_bytes_per_cycle);
-}
-
-std::uint64_t Device::CopyToDevice(const DeviceBuffer& dst, const void* src,
-                                   std::uint64_t bytes,
-                                   std::uint64_t dst_offset) {
-  DGC_CHECK_MSG(dst_offset + bytes <= dst.bytes, "H2D copy out of bounds");
-  std::memcpy(dst.host + dst_offset, src, bytes);
-  return TransferCycles(spec_, bytes);
-}
-
-std::uint64_t Device::CopyFromDevice(void* dst, const DeviceBuffer& src,
-                                     std::uint64_t bytes,
-                                     std::uint64_t src_offset) {
-  DGC_CHECK_MSG(src_offset + bytes <= src.bytes, "D2H copy out of bounds");
-  std::memcpy(dst, src.host + src_offset, bytes);
-  return TransferCycles(spec_, bytes);
 }
 
 StatusOr<LaunchResult> Device::Launch(const LaunchConfig& config,

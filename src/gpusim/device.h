@@ -1,10 +1,11 @@
 // Device: the public façade of the GPU simulator.
 //
 // Owns the device memory, the memory-hierarchy model, and lifetime
-// statistics; executes kernels through per-launch LaunchContexts. All host
-// interactions that cost time (H2D/D2H copies, kernel launch overhead)
-// return their cost in device cycles so callers can compose end-to-end
-// timings explicitly.
+// statistics; executes kernels through per-launch LaunchContexts. Host
+// interactions that cost time return their cost in device cycles so callers
+// can compose end-to-end timings explicitly: kernel launch overhead is in
+// LaunchResult::cycles, and loaders charge their host<->device copies
+// through TransferCycles.
 #pragma once
 
 #include <cstdint>
@@ -62,15 +63,6 @@ class Device {
   }
   Status Free(DeviceAddr addr) { return memory_.Free(addr); }
 
-  /// Host→device copy; returns the transfer cost in device cycles.
-  std::uint64_t CopyToDevice(const DeviceBuffer& dst, const void* src,
-                             std::uint64_t bytes,
-                             std::uint64_t dst_offset = 0);
-  /// Device→host copy; returns the transfer cost in device cycles.
-  std::uint64_t CopyFromDevice(void* dst, const DeviceBuffer& src,
-                               std::uint64_t bytes,
-                               std::uint64_t src_offset = 0);
-
   /// Runs a kernel to completion. Validates the configuration against the
   /// device limits. Lane failures are reported in the result, not as a
   /// Status (a kernel with a crashed thread still retires).
@@ -89,7 +81,8 @@ class Device {
   std::uint64_t launches_ = 0;
 };
 
-/// Convenience: PCIe transfer cost in device cycles for `bytes`.
+/// PCIe transfer cost in device cycles for `bytes`, either direction:
+/// latency plus bytes over bandwidth.
 std::uint64_t TransferCycles(const DeviceSpec& spec, std::uint64_t bytes);
 
 }  // namespace dgc::sim

@@ -32,7 +32,6 @@ bool Engine::RunOne() {
   const Event ev = heap_.back();
   heap_.pop_back();
   now_ = ev.t;
-  ++dispatched_;
   if (ev.warp->queued_wake() == ev.t) ev.warp->clear_queued_wake();
   ev.warp->Turn(ev.t);
   return true;

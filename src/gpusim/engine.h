@@ -31,8 +31,6 @@ class Engine {
   }
 
   std::uint64_t now() const { return now_; }
-  std::size_t pending_events() const { return heap_.size(); }
-  std::uint64_t events_dispatched() const { return dispatched_; }
 
  private:
   struct Event {
@@ -50,7 +48,6 @@ class Engine {
   std::vector<Event> heap_;
   std::uint64_t now_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t dispatched_ = 0;
 };
 
 }  // namespace dgc::sim

@@ -16,14 +16,6 @@ std::string_view ToString(TrapKind kind) {
   return "unknown";
 }
 
-std::string_view ToString(LaunchOutcome outcome) {
-  switch (outcome) {
-    case LaunchOutcome::kCompleted: return "completed";
-    case LaunchOutcome::kDeadlocked: return "deadlocked";
-  }
-  return "unknown";
-}
-
 bool FaultPlan::SeededFlip(std::uint64_t seed, std::uint64_t stream,
                            std::uint64_t ordinal, double p) {
   if (p <= 0.0) return false;

@@ -56,8 +56,6 @@ class DeviceTrap : public std::runtime_error {
 /// parked on a barrier that can never release.
 enum class LaunchOutcome : std::uint8_t { kCompleted = 0, kDeadlocked };
 
-std::string_view ToString(LaunchOutcome outcome);
-
 /// A deterministic fault-injection plan. Counters are mutated as the
 /// simulation consumes the plan, so one plan shared across retry waves
 /// injects each listed fault exactly once (which is what lets a retry

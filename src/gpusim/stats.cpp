@@ -1,18 +1,12 @@
 #include "gpusim/stats.h"
 
-#include <algorithm>
-
 #include "support/str.h"
 #include "support/units.h"
 
 namespace dgc::sim {
 
-namespace {
-
-/// Sums every throughput counter of `o` into `s` — everything except
-/// elapsed_cycles, whose merge rule depends on whether the two stat sets
-/// describe sequential or concurrent work.
-void AddCounters(LaunchStats& s, const LaunchStats& o) {
+void LaunchStats::AccumulateSequential(const LaunchStats& o) {
+  LaunchStats& s = *this;
   s.warp_instructions += o.warp_instructions;
   s.compute_instructions += o.compute_instructions;
   s.load_instructions += o.load_instructions;
@@ -40,18 +34,7 @@ void AddCounters(LaunchStats& s, const LaunchStats& o) {
   s.memcheck_findings += o.memcheck_findings;
   s.lane_traps += o.lane_traps;
   s.watchdog_traps += o.watchdog_traps;
-}
-
-}  // namespace
-
-void LaunchStats::AccumulateSequential(const LaunchStats& o) {
-  AddCounters(*this, o);
-  elapsed_cycles += o.elapsed_cycles;
-}
-
-void LaunchStats::AccumulateConcurrent(const LaunchStats& o) {
-  AddCounters(*this, o);
-  elapsed_cycles = std::max(elapsed_cycles, o.elapsed_cycles);
+  s.elapsed_cycles += o.elapsed_cycles;
 }
 
 namespace {

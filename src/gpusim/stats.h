@@ -63,13 +63,6 @@ struct LaunchStats {
   /// including elapsed_cycles — back-to-back durations add.
   void AccumulateSequential(const LaunchStats& other);
 
-  /// Merges counters of work that ran CONCURRENTLY inside one launch
-  /// (per-instance stats of co-resident instances): throughput counters
-  /// sum, but elapsed_cycles takes the max — two instances that each ran
-  /// 1000 overlapping cycles occupied the device for 1000 cycles, not
-  /// 2000. Summing here was the historical bug this split fixes.
-  void AccumulateConcurrent(const LaunchStats& other);
-
   bool operator==(const LaunchStats&) const = default;
 
   /// ideal_sectors / global_sectors: 1.0 is perfectly coalesced, lower

@@ -1,7 +1,5 @@
 #include "ompx/team.h"
 
-#include <limits>
-
 #include "support/str.h"
 
 namespace dgc::ompx {
@@ -104,43 +102,17 @@ sim::DeviceTask<void> ParallelFor(
   co_await Parallel(team, wrapper);
 }
 
-namespace {
-
-/// Common shape of the slot-based team reductions: init by rank 0, sync,
-/// atomic combine, sync, everyone reads the result.
-sim::DeviceTask<double> TeamReduceWith(TeamCtx& team, double value,
-                                       double init, bool use_min,
-                                       bool use_max) {
+sim::DeviceTask<double> TeamReduceSum(TeamCtx& team, double value) {
+  // Rank 0 zeroes the team's slot, everyone adds atomically, and after the
+  // second sync every thread reads the total.
   const std::uint32_t local_team = team.hw->tid3.y;
   auto slot =
       team.hw->block->SharedAt<double>(local_team * kTeamSharedReserve);
-  if (team.team_rank == 0) co_await team.hw->Store(slot, init);
+  if (team.team_rank == 0) co_await team.hw->Store(slot, 0.0);
   co_await team.Sync();
-  if (use_min) {
-    co_await team.hw->AtomicMin(slot, value);
-  } else if (use_max) {
-    co_await team.hw->AtomicMax(slot, value);
-  } else {
-    co_await team.hw->AtomicAdd(slot, value);
-  }
+  co_await team.hw->AtomicAdd(slot, value);
   co_await team.Sync();
   co_return co_await team.hw->Load(slot);
-}
-
-}  // namespace
-
-sim::DeviceTask<double> TeamReduceSum(TeamCtx& team, double value) {
-  return TeamReduceWith(team, value, 0.0, false, false);
-}
-
-sim::DeviceTask<double> TeamReduceMin(TeamCtx& team, double value) {
-  return TeamReduceWith(team, value,
-                        std::numeric_limits<double>::infinity(), true, false);
-}
-
-sim::DeviceTask<double> TeamReduceMax(TeamCtx& team, double value) {
-  return TeamReduceWith(team, value,
-                        -std::numeric_limits<double>::infinity(), false, true);
 }
 
 }  // namespace dgc::ompx

@@ -106,10 +106,6 @@ sim::DeviceTask<void> ParallelFor(
 /// Call from inside a Parallel region (all threads must participate).
 sim::DeviceTask<double> TeamReduceSum(TeamCtx& team, double value);
 
-/// Team-wide min/max reductions, same contract as TeamReduceSum.
-sim::DeviceTask<double> TeamReduceMin(TeamCtx& team, double value);
-sim::DeviceTask<double> TeamReduceMax(TeamCtx& team, double value);
-
 /// Byte offset within the block's shared window of a team's reduction slot;
 /// LaunchTeams reserves `teams_per_block * kTeamSharedReserve` bytes.
 inline constexpr std::uint32_t kTeamSharedReserve = 64;

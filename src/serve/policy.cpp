@@ -33,13 +33,4 @@ void CircuitBreaker::HalfOpen() {
   if (state_ == State::kOpen) state_ = State::kHalfOpen;
 }
 
-std::string_view ToString(CircuitBreaker::State state) {
-  switch (state) {
-    case CircuitBreaker::State::kClosed: return "closed";
-    case CircuitBreaker::State::kOpen: return "open";
-    case CircuitBreaker::State::kHalfOpen: return "half-open";
-  }
-  return "unknown";
-}
-
 }  // namespace dgc::serve

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace dgc::serve {
 
@@ -80,7 +79,5 @@ class CircuitBreaker {
   std::uint64_t open_until_ = 0;
   std::uint64_t cooldown_multiplier_ = 1;
 };
-
-std::string_view ToString(CircuitBreaker::State state);
 
 }  // namespace dgc::serve

@@ -43,15 +43,6 @@ ArgParser& ArgParser::AddFlag(std::string long_name, char short_name,
   return *this;
 }
 
-ArgParser& ArgParser::AddPositionalList(std::string name, std::string help,
-                                        std::vector<std::string>* out) {
-  DGC_CHECK(out != nullptr);
-  positional_name_ = std::move(name);
-  positional_help_ = std::move(help);
-  positional_out_ = out;
-  return *this;
-}
-
 const ArgParser::Option* ArgParser::Find(std::string_view long_name,
                                          char short_name) const {
   for (const Option& opt : options_) {
@@ -90,13 +81,13 @@ Status ArgParser::Parse(int argc, const char* const* argv) const {
 
 Status ArgParser::Parse(const std::vector<std::string>& args) const {
   std::set<const Option*> seen;
-  std::vector<std::string> positionals;
+  const std::string* positional = nullptr;  // the first one, reported last
   bool options_done = false;
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (options_done || arg.empty() || arg[0] != '-' || arg == "-") {
-      positionals.push_back(arg);
+      if (positional == nullptr) positional = &arg;
       continue;
     }
     if (arg == "--") {
@@ -162,21 +153,16 @@ Status ArgParser::Parse(const std::vector<std::string>& args) const {
     }
   }
 
-  if (!positionals.empty()) {
-    if (positional_out_ == nullptr) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "unexpected positional argument: " + positionals.front());
-    }
-    *positional_out_ = std::move(positionals);
+  if (positional != nullptr) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "unexpected positional argument: " + *positional);
   }
   return Status::Ok();
 }
 
 std::string ArgParser::Usage(std::string_view program_name) const {
-  std::string out = StrFormat("usage: %.*s [options]", int(program_name.size()),
-                              program_name.data());
-  if (positional_out_ != nullptr) out += " [" + positional_name_ + "...]";
-  out += "\n";
+  std::string out = StrFormat("usage: %.*s [options]\n",
+                              int(program_name.size()), program_name.data());
   if (!description_.empty()) out += description_ + "\n";
   for (const Option& opt : options_) {
     std::string names;
@@ -188,10 +174,6 @@ std::string ArgParser::Usage(std::string_view program_name) const {
     if (opt.kind != Kind::kFlag) names += " <value>";
     out += StrFormat("  %-28s %s%s\n", names.c_str(), opt.help.c_str(),
                      opt.required ? " (required)" : "");
-  }
-  if (positional_out_ != nullptr) {
-    out += StrFormat("  %-28s %s\n", positional_name_.c_str(),
-                     positional_help_.c_str());
   }
   return out;
 }

@@ -3,13 +3,12 @@
 // Used twice: by the ensemble loader for its own flags (-f/-n/-t, §3.2 of the
 // paper) and by the mini-apps for their per-instance command lines. It
 // supports short (-n 4) and long (--instances 4, --instances=4) options,
-// boolean flags, repeated options, and positional arguments. Parsing never
-// touches global state, so many instances can parse "their" argv in the same
-// process — exactly what ensemble execution needs.
+// boolean flags and repeated options; a positional argument is an error.
+// Parsing never touches global state, so many instances can parse "their"
+// argv in the same process — exactly what ensemble execution needs.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -35,11 +34,8 @@ class ArgParser {
   /// Boolean flag: present → true.
   ArgParser& AddFlag(std::string long_name, char short_name, std::string help,
                      bool* out);
-  /// Positional arguments collected in order after all options.
-  ArgParser& AddPositionalList(std::string name, std::string help,
-                               std::vector<std::string>* out);
-
-  /// Parses argv (excluding argv[0]). "--" terminates option parsing.
+  /// Parses argv (excluding argv[0]). "--" terminates option parsing, so
+  /// anything after it is an (unexpected) positional argument.
   Status Parse(int argc, const char* const* argv) const;
   Status Parse(const std::vector<std::string>& args) const;
 
@@ -65,9 +61,6 @@ class ArgParser {
 
   std::string description_;
   std::vector<Option> options_;
-  std::string positional_name_;
-  std::string positional_help_;
-  std::vector<std::string>* positional_out_ = nullptr;
 };
 
 }  // namespace dgc

@@ -40,8 +40,11 @@ std::uint64_t Rng::NextBounded(std::uint64_t bound) {
 }
 
 std::int64_t Rng::NextInRange(std::int64_t lo, std::int64_t hi) {
-  const std::uint64_t span = std::uint64_t(hi - lo) + 1;
-  return lo + std::int64_t(NextBounded(span));
+  // Unsigned arithmetic: hi - lo can exceed INT64_MAX. A span that wraps to
+  // 0 is the whole int64 range.
+  const std::uint64_t span = std::uint64_t(hi) - std::uint64_t(lo) + 1;
+  const std::uint64_t offset = span == 0 ? NextU64() : NextBounded(span);
+  return std::int64_t(std::uint64_t(lo) + offset);
 }
 
 double Rng::NextDouble() {
@@ -57,28 +60,6 @@ bool Rng::NextBool(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return NextDouble() < p;
-}
-
-void Rng::Jump() {
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-      0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t jump : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump & (1ULL << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      NextU64();
-    }
-  }
-  s_[0] = s0;
-  s_[1] = s1;
-  s_[2] = s2;
-  s_[3] = s3;
 }
 
 }  // namespace dgc

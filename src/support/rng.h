@@ -48,9 +48,6 @@ class Rng {
   /// True with probability p (clamped to [0,1]).
   bool NextBool(double p = 0.5);
 
-  /// Jump function: advances 2^128 steps, for independent parallel streams.
-  void Jump();
-
  private:
   std::uint64_t s_[4];
 };

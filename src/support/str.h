@@ -31,7 +31,6 @@ StatusOr<std::int64_t> ParseInt(std::string_view s);
 StatusOr<double> ParseDouble(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

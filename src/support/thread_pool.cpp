@@ -1,6 +1,7 @@
 #include "support/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <utility>
 
@@ -53,82 +54,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> job) {
   return future;
 }
 
-Status ThreadPool::RunAll(std::vector<std::function<void()>> jobs) {
-  if (jobs.empty()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "ThreadPool::RunAll: no jobs to run");
-  }
-  for (const auto& job : jobs) {
-    if (job == nullptr) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "ThreadPool::RunAll: null job");
-    }
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(jobs.size());
-  for (auto& job : jobs) futures.push_back(Submit(std::move(job)));
-  // Wait for everything before reporting, so no job outlives the caller's
-  // state; the smallest-index exception wins (deterministic under races).
-  std::exception_ptr first_error;
-  for (std::future<void>& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return Status::Ok();
-}
-
-Status ThreadPool::RunAllParticipating(std::vector<std::function<void()>> jobs) {
-  if (jobs.empty()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "ThreadPool::RunAllParticipating: no jobs to run");
-  }
-  for (const auto& job : jobs) {
-    if (job == nullptr) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "ThreadPool::RunAllParticipating: null job");
-    }
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(jobs.size());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& job : jobs) {
-      std::packaged_task<void()> task(std::move(job));
-      futures.push_back(task.get_future());
-      queue_.push_back(std::move(task));
-    }
-  }
-  cv_.notify_all();
-  // Help: drain the queue on this thread until it is empty. The caller may
-  // run tasks from other batches sharing the pool — that only accelerates
-  // them — and cannot block: anything still queued is runnable right here.
-  for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (queue_.empty()) break;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-  // Tasks picked up by workers may still be in flight; wait on the batch.
-  std::exception_ptr first_error;
-  for (std::future<void>& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return Status::Ok();
-}
-
 Status ParallelFor(std::size_t count, unsigned threads,
                    const std::function<void(std::size_t)>& body) {
   if (count == 0) {
@@ -142,17 +67,30 @@ Status ParallelFor(std::size_t count, unsigned threads,
     for (std::size_t i = 0; i < count; ++i) body(i);
     return Status::Ok();
   }
-  // concurrency - 1 workers; the caller is the final lane. Participation
-  // (rather than idle waiting) is what makes nesting safe: a body that
-  // itself fans out, or a ParallelFor issued from another pool's worker,
-  // always has at least its own thread making progress.
-  ThreadPool pool(concurrency - 1);
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    jobs.push_back([&body, i] { body(i); });
+  // One slot per index, each written by the one thread that ran it and read
+  // only after the joins, so the smallest failing index wins under any race.
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next{0};
+  auto drain = [&] {
+    for (std::size_t i = next++; i < count; i = next++) {
+      try {
+        body(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  {
+    // jthreads join on scope exit, also when spawning one throws.
+    std::vector<std::jthread> helpers;
+    helpers.reserve(concurrency - 1);
+    for (unsigned t = 1; t < concurrency; ++t) helpers.emplace_back(drain);
+    drain();
   }
-  return pool.RunAllParticipating(std::move(jobs));
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return Status::Ok();
 }
 
 }  // namespace dgc

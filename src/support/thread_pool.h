@@ -1,11 +1,11 @@
-// A small fixed-size worker pool for running independent host-side jobs —
-// the engine behind the parallel Fig. 6 sweep runner (ensemble/experiment.h).
+// Host-side concurrency for the two places that run independent jobs at
+// once: dgc-serve's concurrent launches (ThreadPool::Submit) and the
+// parallel Fig. 6 sweep runner (ParallelFor, used by ensemble::RunSweeps).
 //
-// The pool is deliberately simple: a FIFO queue drained by N workers. Jobs
-// start in submission order; completion order is up to the host scheduler,
-// so callers that need deterministic output must write results into
-// pre-assigned slots and assemble them after RunAll returns (exactly what
-// the sweep runner does).
+// Both start jobs in order; completion order is up to the host scheduler,
+// so callers that need deterministic output write results into
+// pre-assigned slots and assemble them once every job has finished
+// (exactly what the sweep runner and the serve scheduler do).
 #pragma once
 
 #include <condition_variable>
@@ -21,6 +21,7 @@
 
 namespace dgc {
 
+/// A fixed set of workers draining one FIFO queue.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers; 0 picks DefaultThreads().
@@ -39,23 +40,6 @@ class ThreadPool {
   /// The future completes when the job returns or throws.
   std::future<void> Submit(std::function<void()> job);
 
-  /// Submits every job and blocks until all of them finished. An empty
-  /// batch or a null job is rejected with kInvalidArgument before anything
-  /// runs. If jobs throw, every job still runs to completion and then the
-  /// exception of the smallest-index throwing job is rethrown.
-  ///
-  /// The caller only waits — a pool worker calling RunAll on its own pool
-  /// deadlocks when no other worker is free. Nested use must go through
-  /// RunAllParticipating.
-  Status RunAll(std::vector<std::function<void()>> jobs);
-
-  /// RunAll, with the calling thread draining the queue alongside the
-  /// workers until its batch is done. Progress is guaranteed even when
-  /// every worker is busy (or the pool is the caller's own): the caller
-  /// itself runs whatever is still queued. This is the nested-submission
-  /// path — a pool job that itself fans work out into a pool must use it. Validation and exception semantics match RunAll.
-  Status RunAllParticipating(std::vector<std::function<void()>> jobs);
-
  private:
   void WorkerLoop();
 
@@ -66,14 +50,18 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs body(0), ..., body(count-1) to completion. `threads` <= 1 executes
-/// inline in index order (no pool, no extra threads — bit-for-bit today's
-/// serial behaviour); otherwise min(threads, count) - 1 temporary workers
-/// plus the calling thread run the calls concurrently
-/// (RunAllParticipating), so calling from inside another pool's worker can
-/// never deadlock and never idles the caller. Rejects count == 0 with
-/// kInvalidArgument. Exceptions propagate as in ThreadPool::RunAll (inline
-/// mode throws at the first failing index).
+/// Runs body(0), ..., body(count-1) to completion.
+///
+/// `threads` <= 1 runs inline in index order, with no extra thread, and
+/// throws at the first failing index. Otherwise min(threads, count) - 1
+/// temporary threads plus the calling thread pull indices from one counter,
+/// so bodies start in index order (largest-first schedules rely on it).
+/// The caller always takes part, so a call from inside a pool worker makes
+/// progress even when that pool is full. Every index runs; then the
+/// exception of the smallest failing index is rethrown.
+///
+/// Rejects count == 0 and a null body with kInvalidArgument before anything
+/// runs.
 Status ParallelFor(std::size_t count, unsigned threads,
                    const std::function<void(std::size_t)>& body);
 

@@ -11,13 +11,6 @@ std::string FormatBytes(std::uint64_t bytes) {
   return StrFormat("%.2f GiB", double(bytes) / double(kGiB));
 }
 
-std::string FormatHz(double hz) {
-  if (hz < 1e3) return StrFormat("%.0f Hz", hz);
-  if (hz < 1e6) return StrFormat("%.2f kHz", hz / 1e3);
-  if (hz < 1e9) return StrFormat("%.2f MHz", hz / 1e6);
-  return StrFormat("%.2f GHz", hz / 1e9);
-}
-
 std::string FormatSeconds(double seconds) {
   if (seconds < 1e-6) return StrFormat("%.1f ns", seconds * 1e9);
   if (seconds < 1e-3) return StrFormat("%.2f us", seconds * 1e6);

@@ -13,9 +13,6 @@ inline constexpr std::uint64_t kGiB = 1024 * kMiB;
 /// "512 B", "3.25 KiB", "40.00 GiB", ...
 std::string FormatBytes(std::uint64_t bytes);
 
-/// "1.41 GHz" style frequency formatting from Hz.
-std::string FormatHz(double hz);
-
 /// "12.3 us" / "4.56 ms" / "1.23 s" from seconds.
 std::string FormatSeconds(double seconds);
 

@@ -133,5 +133,71 @@ TEST(ArgScript, MultipleLinesConcatenate) {
   EXPECT_EQ(args->size(), 5u);  // 2 + 2 + 1
 }
 
+// --- Checked arithmetic and the expansion cap -------------------------------
+
+// Expands `script` and expects an error whose message contains `what`.
+void ExpectRejected(const std::string& script, const std::string& what) {
+  auto result = ExpandScript(script);
+  ASSERT_FALSE(result.ok()) << script;
+  EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find(what), std::string::npos)
+      << result.status().message();
+}
+
+TEST(ArgScript, Int64MinDividedByMinusOneIsRejected) {
+  // Both once died of SIGFPE.
+  ExpectRejected("-s {(0-9223372036854775807-1)/(0-1)}\n", "integer overflow");
+  ExpectRejected("-s {(0-9223372036854775807-1)%(0-1)}\n", "integer overflow");
+  auto ok = ExpandScript("-s {(0-9223372036854775807-1)/1}\n");
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(*ok, "-s -9223372036854775808\n");
+}
+
+TEST(ArgScript, ArithmeticOverflowIsRejected) {
+  ExpectRejected("-s {9223372036854775808}\n", "integer overflow");
+  ExpectRejected("-s {9223372036854775807+1}\n", "integer overflow");
+  ExpectRejected("-s {0-9223372036854775807-2}\n", "integer overflow");
+  ExpectRejected("-s {4611686018427387904*2}\n", "integer overflow");
+  ExpectRejected("-s {-(0-9223372036854775807-1)}\n", "integer overflow");
+  auto edge = ExpandScript("-s {9223372036854775807} {-9223372036854775807}\n");
+  ASSERT_TRUE(edge.ok());
+  EXPECT_EQ(*edge, "-s 9223372036854775807 -9223372036854775807\n");
+}
+
+TEST(ArgScript, DeepNestingIsRejected) {
+  // Once overflowed the host stack (SIGSEGV) at a few thousand levels.
+  const std::string deep = "-s {" + std::string(100000, '(') + "1" +
+                           std::string(100000, ')') + "}\n";
+  ExpectRejected(deep, "nests too deeply");
+  ExpectRejected("-s {" + std::string(100000, '-') + "1}\n",
+                 "nests too deeply");
+  auto shallow = ExpandScript("-s {((((((((((-(-1)))))))))))}\n");
+  ASSERT_TRUE(shallow.ok());
+  EXPECT_EQ(*shallow, "-s 1\n");
+}
+
+TEST(ArgScript, SeqRangeOverflowIsRejected) {
+  ExpectRejected("-k {seq -9223372036854775807 9223372036854775807}\n",
+                 "seq range overflows");
+}
+
+TEST(ArgScript, RandOverTheWholeInt64RangeIsDefined) {
+  EXPECT_TRUE(
+      ExpandScript("-s {rand 0-9223372036854775807-1 9223372036854775807}\n")
+          .ok());
+}
+
+TEST(ArgScript, ExpansionCapRejectsHugeCountsBeforeExpanding) {
+  // Both once ran for minutes.
+  ExpectRejected("@repeat 99999999999 : -s {i}\n", "more than 65536 instances");
+  ExpectRejected("-s {seq 1 99999999999 1}\n", "more than 65536 instances");
+  // The cap is on the whole script, and exactly the cap is allowed.
+  auto full = ExpandScriptToArgs("@repeat 65535 : -s {i}\n-s last\n");
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->size(), kMaxScriptInstances);
+  ExpectRejected("@repeat 65536 : -s {i}\n-s one-too-many\n",
+                 "script line 2: script expands to more than 65536");
+}
+
 }  // namespace
 }  // namespace dgc::ensemble

@@ -381,16 +381,14 @@ TEST(Launch, DivergentBranchesSerialize) {
 }
 
 TEST(Launch, TransferCostsModelled) {
-  auto dev = MakeDevice();
-  auto buf = *dev->Malloc(1 << 16);
-  std::vector<std::byte> host(1 << 16, std::byte{7});
-  const std::uint64_t up = dev->CopyToDevice(buf, host.data(), host.size());
-  EXPECT_GT(up, std::uint64_t(dev->spec().pcie_latency_cycles));
-  EXPECT_EQ(buf.host[100], std::byte{7});
-  buf.host[100] = std::byte{9};
-  const std::uint64_t down = dev->CopyFromDevice(host.data(), buf, host.size());
-  EXPECT_EQ(host[100], std::byte{9});
-  EXPECT_EQ(up, down);
+  // One PCIe cost for both directions (argv H2D, Ret D2H): latency plus
+  // bytes over bandwidth, truncated to whole cycles.
+  DeviceSpec spec = DeviceSpec::TestDevice();
+  spec.pcie_latency_cycles = 1000;
+  spec.pcie_bytes_per_cycle = 16.0;
+  EXPECT_EQ(TransferCycles(spec, 0), 1000u);
+  EXPECT_EQ(TransferCycles(spec, 1 << 16), 1000u + (1u << 16) / 16);
+  EXPECT_EQ(TransferCycles(spec, 17), 1001u);
 }
 
 TEST(Launch, LifetimeStatsAccumulate) {

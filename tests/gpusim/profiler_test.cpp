@@ -203,18 +203,6 @@ TEST(LaunchStatsMerge, SequentialSumsElapsedCycles) {
   EXPECT_EQ(total.blocks_launched, 2u);
 }
 
-TEST(LaunchStatsMerge, ConcurrentTakesMaxElapsedCycles) {
-  // Co-resident instances overlap: the device was busy max(a, b) cycles,
-  // not a + b. Summing here was the historical ensemble-loader bug.
-  LaunchStats total = SampleStats(1000);
-  total.AccumulateConcurrent(SampleStats(400));
-  EXPECT_EQ(total.elapsed_cycles, 1000u);
-  total.AccumulateConcurrent(SampleStats(2500));
-  EXPECT_EQ(total.elapsed_cycles, 2500u);
-  EXPECT_EQ(total.warp_instructions, 30u);  // throughput counters still sum
-  EXPECT_EQ(total.blocks_launched, 3u);
-}
-
 TEST(LaunchStatsReport, UntouchedCachesPrintNaNotZero) {
   LaunchStats idle;
   idle.warp_instructions = 4;

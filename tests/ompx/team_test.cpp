@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "ompx/league.h"
-#include "ompx/mapping.h"
 #include "ompx/team.h"
 
 namespace dgc::ompx {
@@ -248,49 +247,6 @@ TEST(LaunchTeams, InvalidConfigsRejected) {
           .ok());
 }
 
-TEST(DataEnv, MapToCopiesAndCharges) {
-  auto dev = MakeDevice();
-  DataEnv env(*dev);
-  std::vector<double> host{1, 2, 3, 4};
-  auto buf = env.MapTo(host.data(), host.size() * sizeof(double));
-  ASSERT_TRUE(buf.ok());
-  EXPECT_DOUBLE_EQ(buf->Typed<double>()[2], 3.0);
-  EXPECT_GT(env.transfer_cycles(), 0u);
-  EXPECT_EQ(env.bytes_to_device(), 32u);
-}
-
-TEST(DataEnv, MapFromCopiesBackOnSync) {
-  auto dev = MakeDevice();
-  std::vector<std::uint32_t> host(4, 0);
-  DataEnv env(*dev);
-  auto buf = env.MapFrom(host.data(), host.size() * sizeof(std::uint32_t));
-  ASSERT_TRUE(buf.ok());
-  // MapFrom rounds the allocation up to the device alignment, so only the
-  // host-visible prefix matters.
-  for (int i = 0; i < 4; ++i) buf->Typed<std::uint32_t>()[i] = 100 + i;
-  env.Sync();
-  EXPECT_EQ(host[3], 103u);
-}
-
-TEST(DataEnv, ReleasesAllocationsOnDestruction) {
-  auto dev = MakeDevice();
-  {
-    DataEnv env(*dev);
-    ASSERT_TRUE(env.MapAlloc(4096).ok());
-    ASSERT_TRUE(env.MapAlloc(4096).ok());
-    EXPECT_EQ(dev->memory().allocation_count(), 2u);
-  }
-  EXPECT_EQ(dev->memory().allocation_count(), 0u);
-}
-
-TEST(DataEnv, PropagatesOom) {
-  auto dev = MakeDevice();
-  DataEnv env(*dev);
-  auto r = env.MapAlloc(dev->spec().global_memory_bytes + 1);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), ErrorCode::kOutOfMemory);
-}
-
 }  // namespace
 }  // namespace dgc::ompx
 
@@ -345,30 +301,6 @@ TEST(Schedule, InterleavedCoalescesBetterThanChunked) {
   EXPECT_LT(interleaved.global_sectors, chunked.global_sectors);
   EXPECT_GT(interleaved.CoalescingEfficiency(),
             chunked.CoalescingEfficiency());
-}
-
-TEST(TeamReduce, MinAndMax) {
-  auto dev = std::make_unique<sim::Device>(sim::DeviceSpec::TestDevice());
-  const std::uint32_t threads = 64;
-  double got_min = 0, got_max = 0;
-  TeamsConfig cfg{.num_teams = 1, .thread_limit = threads};
-  auto result = LaunchTeams(*dev, cfg, [&](TeamCtx& team) -> sim::DeviceTask<void> {
-    co_await Parallel(team, [&](sim::ThreadCtx&, std::uint32_t rank,
-                                std::uint32_t) -> sim::DeviceTask<void> {
-      // Values 7-(rank*0.5): min at the last rank, max at rank 0.
-      const double v = 7.0 - 0.5 * double(rank);
-      const double mn = co_await TeamReduceMin(team, v);
-      const double mx = co_await TeamReduceMax(team, v);
-      if (rank == 0) {
-        got_min = mn;
-        got_max = mx;
-      }
-    });
-  });
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->ok()) << (result->failures.empty() ? "" : result->failures[0]);
-  EXPECT_DOUBLE_EQ(got_min, 7.0 - 0.5 * (threads - 1));
-  EXPECT_DOUBLE_EQ(got_max, 7.0);
 }
 
 TEST(TeamReduce, SingleThreadTeam) {

@@ -85,13 +85,15 @@ TEST(ArgParser, FlagRejectsValue) {
 }
 
 TEST(ArgParser, PositionalsAndDashDash) {
+  // "--" ends option parsing: "-n" after it is a positional, which no
+  // parser accepts.
   LoaderFlags f;
-  std::vector<std::string> pos;
   auto p = MakeLoaderParser(f);
-  p.AddPositionalList("inputs", "input files", &pos);
-  ASSERT_TRUE(p.Parse({"-f", "x", "a.bin", "--", "-n", "b.bin"}).ok());
-  EXPECT_EQ(pos, (std::vector<std::string>{"a.bin", "-n", "b.bin"}));
-  EXPECT_EQ(f.instances, 1);  // -n after -- is positional
+  ASSERT_TRUE(p.Parse({"-f", "x", "--"}).ok());
+  const Status s = p.Parse({"-f", "x", "--", "-n", "4"});
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.message(), "unexpected positional argument: -n");
+  EXPECT_EQ(f.instances, 1);  // -n after -- is not an option
 }
 
 TEST(ArgParser, UnexpectedPositionalFails) {

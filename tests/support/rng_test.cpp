@@ -91,16 +91,5 @@ TEST(Rng, BoolProbabilityApproximate) {
   EXPECT_NEAR(double(hits) / 10000.0, 0.25, 0.02);
 }
 
-TEST(Rng, JumpProducesDisjointStream) {
-  Rng a(99);
-  Rng b(99);
-  b.Jump();
-  std::set<std::uint64_t> first;
-  for (int i = 0; i < 1000; ++i) first.insert(a.NextU64());
-  int overlap = 0;
-  for (int i = 0; i < 1000; ++i) overlap += first.count(b.NextU64());
-  EXPECT_EQ(overlap, 0);
-}
-
 }  // namespace
 }  // namespace dgc

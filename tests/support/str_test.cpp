@@ -114,8 +114,6 @@ TEST(ParseDouble, Invalid) {
 TEST(StartsEndsWith, Basics) {
   EXPECT_TRUE(StartsWith("--flag", "--"));
   EXPECT_FALSE(StartsWith("-", "--"));
-  EXPECT_TRUE(EndsWith("file.bin", ".bin"));
-  EXPECT_FALSE(EndsWith("bin", "data.bin"));
 }
 
 TEST(StrFormat, Basics) {

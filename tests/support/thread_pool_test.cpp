@@ -1,9 +1,12 @@
-// Tests for the sweep harness's worker pool (support/thread_pool.h).
+// Tests for the serve worker pool and the sweep runner's ParallelFor
+// (support/thread_pool.h).
 #include "support/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
@@ -28,59 +31,26 @@ TEST(ThreadPool, SubmitRunsJobAndCompletesFuture) {
   EXPECT_EQ(value, 42);
 }
 
-TEST(ThreadPool, RunAllRunsEveryJob) {
-  ThreadPool pool(4);
-  constexpr std::size_t kJobs = 64;
-  std::vector<int> hits(kJobs, 0);
-  std::vector<std::function<void()>> jobs;
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    jobs.push_back([&hits, i] { hits[i] += 1; });  // slot per job: no races
-  }
-  ASSERT_TRUE(pool.RunAll(std::move(jobs)).ok());
-  for (std::size_t i = 0; i < kJobs; ++i) EXPECT_EQ(hits[i], 1) << i;
-}
-
 TEST(ThreadPool, SingleWorkerPreservesSubmissionOrder) {
   ThreadPool pool(1);
   std::vector<int> order;
-  std::vector<std::function<void()>> jobs;
+  std::vector<std::future<void>> futures;
   for (int i = 0; i < 16; ++i) {
-    jobs.push_back([&order, i] { order.push_back(i); });
+    futures.push_back(pool.Submit([&order, i] { order.push_back(i); }));
   }
-  ASSERT_TRUE(pool.RunAll(std::move(jobs)).ok());
+  for (std::future<void>& future : futures) future.get();
   ASSERT_EQ(order.size(), 16u);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[std::size_t(i)], i);
 }
 
-TEST(ThreadPool, ZeroJobsRejected) {
-  ThreadPool pool(2);
-  const Status s = pool.RunAll({});
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
-}
-
-TEST(ThreadPool, NullJobRejectedBeforeAnythingRuns) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  std::vector<std::function<void()>> jobs;
-  jobs.push_back([&] { ++ran; });
-  jobs.push_back(nullptr);
-  const Status s = pool.RunAll(std::move(jobs));
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(ran, 0);
-}
-
 TEST(ThreadPool, FirstIndexExceptionPropagatesAfterAllJobsFinish) {
-  ThreadPool pool(4);
   std::atomic<int> completed{0};
-  std::vector<std::function<void()>> jobs;
-  jobs.push_back([&] { ++completed; });
-  jobs.push_back([] { throw std::runtime_error("job 1 failed"); });
-  jobs.push_back([] { throw std::logic_error("job 2 failed"); });
-  jobs.push_back([&] { ++completed; });
   try {
-    pool.RunAll(std::move(jobs));
+    (void)ParallelFor(4, 4, [&](std::size_t i) {
+      if (i == 1) throw std::runtime_error("job 1 failed");
+      if (i == 2) throw std::logic_error("job 2 failed");
+      ++completed;
+    });
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     // The smallest-index throwing job wins, not whichever finished first.
@@ -100,6 +70,29 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   }
 }
 
+TEST(ThreadPool, ParallelForStartsBodiesInIndexOrder) {
+  // Two threads, and body(i) may only return once body(i + 1) started.
+  // Claiming in index order keeps i and i + 1 in flight together; any other
+  // order parks both threads on indices nobody can start (the wait times
+  // out and the test fails instead of hanging).
+  constexpr std::size_t kCount = 32;
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<bool> started(kCount, false);
+  std::atomic<int> timeouts{0};
+  ASSERT_TRUE(ParallelFor(kCount, 2, [&](std::size_t i) {
+                std::unique_lock<std::mutex> lock(mutex);
+                started[i] = true;
+                cv.notify_all();
+                if (i + 1 == kCount) return;
+                if (!cv.wait_for(lock, std::chrono::seconds(10),
+                                 [&] { return bool(started[i + 1]); })) {
+                  ++timeouts;
+                }
+              }).ok());
+  EXPECT_EQ(timeouts.load(), 0);
+}
+
 TEST(ThreadPool, ParallelForRejectsEmptyRangeAndNullBody) {
   EXPECT_EQ(ParallelFor(0, 2, [](std::size_t) {}).code(),
             ErrorCode::kInvalidArgument);
@@ -117,31 +110,11 @@ TEST(ThreadPool, ParallelForInlineModeThrowsAtFirstFailingIndex) {
   EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
-// --- Nested submission (the sweep-worker-runs-a-threaded-launch shape) -----
-
-TEST(ThreadPool, NestedRunAllParticipatingFromOwnWorkerCompletes) {
-  // Regression: a pool worker fanning a batch back into its own pool. With
-  // plain RunAll this deadlocks on a single-worker pool — the worker waits
-  // for jobs only it could run. RunAllParticipating drains the queue on
-  // the calling (worker) thread, so the batch completes regardless of how
-  // many workers are free.
-  ThreadPool pool(1);
-  std::atomic<int> inner_runs{0};
-  auto outer = pool.Submit([&] {
-    std::vector<std::function<void()>> inner;
-    for (int i = 0; i < 4; ++i) {
-      inner.push_back([&] { inner_runs.fetch_add(1); });
-    }
-    const Status status = pool.RunAllParticipating(std::move(inner));
-    ASSERT_TRUE(status.ok()) << status.ToString();
-  });
-  outer.get();
-  EXPECT_EQ(inner_runs.load(), 4);
-}
+// --- Nested use (a sweep fanned out from inside a pool worker) -----------
 
 TEST(ThreadPool, ParallelForFromInsidePoolWorkerCompletes) {
-  // ParallelFor spawns its own temporary participating crew, so calling it
-  // from another pool's worker must neither deadlock nor idle the caller.
+  // The caller takes part in its own ParallelFor, so a call from the only
+  // worker of a pool can neither deadlock nor leave the caller idle.
   ThreadPool pool(1);
   std::atomic<int> hits{0};
   auto outer = pool.Submit([&] {
@@ -156,11 +129,12 @@ TEST(ThreadPool, ParallelForFromInsidePoolWorkerCompletes) {
 TEST(ThreadPool, NestedParticipatingBatchesPropagateExceptions) {
   ThreadPool pool(1);
   auto outer = pool.Submit([&] {
-    std::vector<std::function<void()>> inner;
-    inner.push_back([] {});
-    inner.push_back([]() -> void { throw std::runtime_error("inner boom"); });
     EXPECT_THROW(
-        { (void)pool.RunAllParticipating(std::move(inner)); },
+        {
+          (void)ParallelFor(2, 2, [](std::size_t i) {
+            if (i == 1) throw std::runtime_error("inner boom");
+          });
+        },
         std::runtime_error);
   });
   outer.get();

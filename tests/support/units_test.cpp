@@ -13,12 +13,6 @@ TEST(Units, FormatBytes) {
   EXPECT_EQ(FormatBytes(40 * kGiB), "40.00 GiB");
 }
 
-TEST(Units, FormatHz) {
-  EXPECT_EQ(FormatHz(500), "500 Hz");
-  EXPECT_EQ(FormatHz(1.41e9), "1.41 GHz");
-  EXPECT_EQ(FormatHz(2.5e6), "2.50 MHz");
-}
-
 TEST(Units, FormatSeconds) {
   EXPECT_EQ(FormatSeconds(5e-9), "5.0 ns");
   EXPECT_EQ(FormatSeconds(12.3e-6), "12.30 us");
