@@ -78,6 +78,48 @@ void BM_CoalesceScattered(benchmark::State& state) {
 }
 BENCHMARK(BM_CoalesceScattered);
 
+/// Coalesces a rotating set of pre-generated warp batch groups, so that
+/// neither the branch predictor nor the cache sees one input repeated.
+void CoalesceBatchGroups(benchmark::State& state,
+                         const std::vector<std::vector<sim::LaneAccess>>& groups) {
+  std::vector<std::uint64_t> out;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    sim::CoalesceSectors(groups[next], 32, out);
+    benchmark::DoNotOptimize(out.data());
+    next = (next + 1) % groups.size();
+  }
+}
+
+void BM_CoalesceBatchNarrow(benchmark::State& state) {
+  // rsbench-like: each of 32 lanes does a LoadRun<4> of one 4-double pole
+  // record picked at random from 4,096 records (128 KiB).
+  Rng rng(5);
+  std::vector<std::vector<sim::LaneAccess>> groups(64);
+  for (auto& g : groups) {
+    for (int lane = 0; lane < 32; ++lane) {
+      const std::uint64_t record = 0x100000 + rng.NextBounded(4096) * 32;
+      for (int i = 0; i < 4; ++i) g.push_back({record + std::uint64_t(i) * 8, 8});
+    }
+  }
+  CoalesceBatchGroups(state, groups);
+}
+BENCHMARK(BM_CoalesceBatchNarrow);
+
+void BM_CoalesceBatchWide(benchmark::State& state) {
+  // pagerank-like: each of 32 lanes gathers 96 random doubles of a
+  // 200,000-element rank array.
+  Rng rng(7);
+  std::vector<std::vector<sim::LaneAccess>> groups(64);
+  for (auto& g : groups) {
+    for (int slot = 0; slot < 32 * 96; ++slot) {
+      g.push_back({0x100000 + rng.NextBounded(200000) * 8, 8});
+    }
+  }
+  CoalesceBatchGroups(state, groups);
+}
+BENCHMARK(BM_CoalesceBatchWide);
+
 void BM_DeviceMallocFree(benchmark::State& state) {
   sim::DeviceMemory mem(1 << 26);
   for (auto _ : state) {

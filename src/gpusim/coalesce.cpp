@@ -12,22 +12,9 @@ namespace {
 // and assert byte-identical stats (tests/ensemble/perf_determinism_test).
 std::atomic<bool> g_fast_path{true};
 
-/// Sorts a warp-sized run of sector ids. Inputs here are at most a few
-/// dozen elements (32 lanes, rarely straddling), where an inlined
-/// insertion sort beats the generic introsort dispatch; the result is the
-/// same sorted sequence either way.
-void SortSectors(std::vector<std::uint64_t>& v) {
-  if (v.size() > 64) {
-    std::sort(v.begin(), v.end());
-    return;
-  }
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    const std::uint64_t key = v[i];
-    std::size_t j = i;
-    for (; j > 0 && v[j - 1] > key; --j) v[j] = v[j - 1];
-    v[j] = key;
-  }
-}
+/// Scratch bound of the bitmap emit: 1,024 words (8 KiB, on the stack)
+/// cover a 65,536-sector span.
+constexpr std::uint64_t kBitmapWords = 1024;
 
 }  // namespace
 
@@ -95,9 +82,9 @@ void CoalesceSectors(std::span<const LaneAccess> accesses,
 
   // General path: expand per-lane sector ranges while tracking whether the
   // output is already non-decreasing (typical for sorted-but-gappy
-  // patterns); sort only when it is not.
+  // patterns) and its sector span.
   bool sorted = true;
-  std::uint64_t prev = 0;
+  std::uint64_t prev = 0, lo = ~std::uint64_t(0), hi = 0;
   for (const LaneAccess& a : accesses) {
     if (a.bytes == 0) continue;
     const std::uint64_t first = sector_of(a.addr);
@@ -105,17 +92,32 @@ void CoalesceSectors(std::span<const LaneAccess> accesses,
     if (!sectors_out.empty() && first < prev) sorted = false;
     for (std::uint64_t s = first; s <= last; ++s) sectors_out.push_back(s);
     prev = last;
+    lo = std::min(lo, first);
+    hi = std::max(hi, last);
   }
-  if (!sorted) SortSectors(sectors_out);
+  const std::uint64_t words = (hi - lo) / 64 + 1;
+  if (!sorted && words <= kBitmapWords &&
+      words <= 64 + 4 * sectors_out.size()) {
+    // Unsorted but narrow (batch groups are mostly duplicates): one bit
+    // per sector, then walking the words emits the sorted unique list. The
+    // word bound keeps zeroing and walking within a few words per sector.
+    std::uint64_t bits[kBitmapWords];
+    std::fill_n(bits, words, 0);
+    for (const std::uint64_t s : sectors_out) {
+      bits[(s - lo) / 64] |= std::uint64_t(1) << ((s - lo) % 64);
+    }
+    std::size_t n = 0;
+    for (std::uint64_t w = 0; w < words; ++w) {
+      for (std::uint64_t b = bits[w]; b != 0; b &= b - 1) {
+        sectors_out[n++] = lo + w * 64 + std::uint64_t(std::countr_zero(b));
+      }
+    }
+    sectors_out.resize(n);
+    return;
+  }
+  if (!sorted) std::sort(sectors_out.begin(), sectors_out.end());
   sectors_out.erase(std::unique(sectors_out.begin(), sectors_out.end()),
                     sectors_out.end());
-}
-
-std::uint64_t IdealSectorCount(std::span<const LaneAccess> accesses,
-                               std::uint32_t sector_bytes) {
-  std::uint64_t total = 0;
-  for (const LaneAccess& a : accesses) total += a.bytes;
-  return IdealSectorCountForBytes(total, sector_bytes);
 }
 
 }  // namespace dgc::sim

@@ -28,9 +28,12 @@ struct LaneAccess {
 /// boundaries and then contributes every covered sector.
 ///
 /// This is the optimized entry point: full-warp unit-stride runs compute
-/// their sector interval directly, and already-sorted patterns skip the
-/// sort. The output is defined to be identical to CoalesceSectorsScalar
-/// for every input.
+/// their sector interval directly, already-sorted patterns skip the sort,
+/// and unsorted groups whose sector span fits a fixed 8 KiB bitmap are
+/// deduplicated and sorted in one pass over its words, so their cost
+/// follows the unique sectors, not the sort. Wider unsorted groups fall
+/// back to sort + unique. The output is defined to be identical to
+/// CoalesceSectorsScalar for every input.
 void CoalesceSectors(std::span<const LaneAccess> accesses,
                      std::uint32_t sector_bytes,
                      std::vector<std::uint64_t>& sectors_out);
@@ -52,14 +55,9 @@ bool CoalesceFastPathEnabled();
 /// ceil(total requested bytes / sector size): the sectors the accesses
 /// would need if packed perfectly with no sharing. Duplicate addresses
 /// count once per lane, so this can exceed the coalesced sector count
-/// (see LaunchStats::ideal_sectors). Used by stats to report a
-/// coalescing-efficiency ratio.
-std::uint64_t IdealSectorCount(std::span<const LaneAccess> accesses,
-                               std::uint32_t sector_bytes);
-
-/// IdealSectorCount when the caller already holds the byte total (the warp
-/// issue loops accumulate it while gathering lane accesses, saving a
-/// second pass over the group).
+/// (see LaunchStats::ideal_sectors). The warp issue loops accumulate the
+/// byte total while gathering lane accesses; stats report
+/// ideal / global as the coalescing efficiency.
 inline std::uint64_t IdealSectorCountForBytes(std::uint64_t total_bytes,
                                               std::uint32_t sector_bytes) {
   return total_bytes == 0 ? 0

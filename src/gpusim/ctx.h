@@ -122,7 +122,10 @@ struct SyncAwaiter : OpAwaiterBase {
 /// frame of the coroutine that declares it, and every simulated lane keeps
 /// that frame alive. A batch with a fixed bound should say so
 /// (`Gather<double, 3>()`, `LoadRun<4>(p, 4)`); the warp sees only the
-/// filled count, so N never changes timing or stats.
+/// filled count, so N never changes timing or stats. The empty
+/// user-provided constructor leaves the slots uninitialized (even under
+/// `return {}`), so constructing a batch writes only `count` and `lane`,
+/// never N slots; Add fills [0, count), the only slots anything reads.
 inline constexpr std::uint32_t kMaxGather = 96;
 
 template <typename T, std::uint32_t N = kMaxGather>
@@ -134,7 +137,7 @@ struct GatherAwaiter {
   std::uint32_t count = 0;
   Lane* lane = nullptr;
 
-  GatherAwaiter() = default;
+  GatherAwaiter() {}
 
   /// Appends one element; silently ignored beyond N (callers chunk;
   /// Full() lets them check).
@@ -169,6 +172,8 @@ struct ScatterAwaiter {
 
   BatchSlot slots[N];
   std::uint32_t count = 0;
+
+  ScatterAwaiter() {}
 
   void Add(DevicePtr<T> p, T value) {
     if (count >= N) return;

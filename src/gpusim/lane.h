@@ -41,12 +41,14 @@ T FromBits(std::uint64_t b) {
   return v;
 }
 
-/// One element of a batched (pipelined) load — see ThreadCtx::Gather.
+/// One element of a batched (pipelined) load — see ThreadCtx::Gather. No
+/// member initializers: an awaiter's unfilled slots stay uninitialized and
+/// only slots [0, count) are ever written or read.
 struct BatchSlot {
-  DeviceAddr addr = 0;
-  void* host = nullptr;
-  std::uint64_t result = 0;
-  std::uint8_t bytes = 0;
+  DeviceAddr addr;
+  void* host;
+  std::uint64_t result;
+  std::uint8_t bytes;
 };
 
 /// One pending device operation of a suspended lane.

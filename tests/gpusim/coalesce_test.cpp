@@ -18,6 +18,14 @@ std::vector<std::uint64_t> Sectors(std::vector<LaneAccess> accesses) {
   return out;
 }
 
+/// The ideal sector count the warp issue loops charge: requested bytes
+/// summed over the lanes, then IdealSectorCountForBytes.
+std::uint64_t Ideal(const std::vector<LaneAccess>& accesses) {
+  std::uint64_t total = 0;
+  for (const LaneAccess& a : accesses) total += a.bytes;
+  return IdealSectorCountForBytes(total, kSector);
+}
+
 TEST(Coalesce, ContiguousDoublesAreFullyCoalesced) {
   // 32 lanes × 8-byte loads, consecutive: 256 bytes → 8 sectors.
   std::vector<LaneAccess> accesses;
@@ -25,7 +33,7 @@ TEST(Coalesce, ContiguousDoublesAreFullyCoalesced) {
     accesses.push_back({0x10000 + std::uint64_t(i) * 8, 8});
   }
   EXPECT_EQ(Sectors(accesses).size(), 8u);
-  EXPECT_EQ(IdealSectorCount(accesses, kSector), 8u);
+  EXPECT_EQ(Ideal(accesses), 8u);
 }
 
 TEST(Coalesce, StridedAccessesExplode) {
@@ -35,7 +43,7 @@ TEST(Coalesce, StridedAccessesExplode) {
     accesses.push_back({0x10000 + std::uint64_t(i) * 128, 8});
   }
   EXPECT_EQ(Sectors(accesses).size(), 32u);
-  EXPECT_EQ(IdealSectorCount(accesses, kSector), 8u);
+  EXPECT_EQ(Ideal(accesses), 8u);
 }
 
 TEST(Coalesce, SameAddressBroadcast) {
@@ -49,7 +57,7 @@ TEST(Coalesce, BroadcastIdealExceedsGlobalSoEfficiencyIsAboveOne) {
   std::vector<LaneAccess> accesses(32, LaneAccess{0x10000, 8});
   LaunchStats stats;
   stats.global_sectors = Sectors(accesses).size();
-  stats.ideal_sectors = IdealSectorCount(accesses, kSector);
+  stats.ideal_sectors = Ideal(accesses);
   EXPECT_EQ(stats.global_sectors, 1u);
   EXPECT_EQ(stats.ideal_sectors, 8u);
   EXPECT_GT(stats.ideal_sectors, stats.global_sectors);
@@ -66,12 +74,12 @@ TEST(Coalesce, InactiveLanesIgnored) {
   std::vector<LaneAccess> accesses(32, LaneAccess{0, 0});
   accesses[5] = {0x20000, 8};
   EXPECT_EQ(Sectors(accesses).size(), 1u);
-  EXPECT_EQ(IdealSectorCount(accesses, kSector), 1u);
+  EXPECT_EQ(Ideal(accesses), 1u);
 }
 
 TEST(Coalesce, EmptyInput) {
   EXPECT_TRUE(Sectors({}).empty());
-  EXPECT_EQ(IdealSectorCount({}, kSector), 0u);
+  EXPECT_EQ(Ideal({}), 0u);
 }
 
 TEST(Coalesce, OutputSortedUnique) {
@@ -116,7 +124,7 @@ TEST(CoalesceProperty, SectorCountBounds) {
       upper += (addr + bytes - 1) / kSector - addr / kSector + 1;
     }
     const auto sectors = Sectors(accesses);
-    EXPECT_GE(sectors.size(), IdealSectorCount(accesses, kSector) > 32
+    EXPECT_GE(sectors.size(), Ideal(accesses) > 32
                                   ? 0u  // ideal can exceed actual only via overlap
                                   : 0u);
     EXPECT_LE(sectors.size(), upper);
@@ -189,6 +197,88 @@ TEST(CoalesceFastPathProperty, MatchesScalarOnRandomizedPatterns) {
     }
     EXPECT_EQ(Sectors(accesses), ScalarSectors(accesses))
         << "trial=" << trial << " mode=" << mode;
+  }
+}
+
+/// One warp batch group: 32 lanes, each contributing `slots` accesses, as
+/// Warp::IssueBatchGroup flattens them (lane by lane, slot by slot).
+std::vector<LaneAccess> BatchGroup(Rng& rng, std::uint32_t slots,
+                                   std::uint64_t base,
+                                   std::uint64_t window_bytes) {
+  std::vector<LaneAccess> accesses;
+  const std::uint32_t mode = rng.NextBounded(4);
+  for (std::uint32_t lane = 0; lane < 32; ++lane) {
+    const std::uint64_t run = base + rng.NextBounded(window_bytes);
+    for (std::uint32_t i = 0; i < slots; ++i) {
+      std::uint32_t bytes = 8;
+      std::uint64_t addr = 0;
+      switch (mode) {
+        case 0:  // LoadRun: a contiguous run per lane at a random window
+          addr = run + std::uint64_t(i) * 8;
+          break;
+        case 1:  // gather: random elements of one array
+          addr = base + rng.NextBounded(window_bytes) / 8 * 8;
+          break;
+        case 2:  // misaligned, straddling, mixed widths
+          bytes = 1u << rng.NextBounded(7);
+          addr = base + rng.NextBounded(window_bytes);
+          break;
+        default:  // duplicates and inactive (zero-byte) slots
+          addr = base + rng.NextBounded(8) * 32 + rng.NextBounded(24);
+          if (rng.NextBounded(4) == 0) bytes = 0;
+          break;
+      }
+      accesses.push_back({addr, bytes});
+    }
+  }
+  return accesses;
+}
+
+TEST(CoalesceFastPathProperty, MatchesScalarOnBatchShapedGroups) {
+  // Batch groups reach 32 lanes x 96 slots. Windows from a few sectors up
+  // to past the bitmap's 65,536-sector span, at bases whose sector ids
+  // exceed 2^32.
+  Rng rng(1903);
+  for (const std::uint64_t base : {0x40000ull, (1ull << 40) + 4, 1ull << 58}) {
+    for (const std::uint64_t window :
+         {256ull, 1ull << 16, 200000ull * 8, 1ull << 21, 1ull << 24}) {
+      for (int trial = 0; trial < 12; ++trial) {
+        const std::uint32_t slots = 1 + rng.NextBounded(96);
+        const auto accesses = BatchGroup(rng, slots, base, window);
+        ASSERT_EQ(Sectors(accesses), ScalarSectors(accesses))
+            << "base=" << base << " window=" << window << " slots=" << slots;
+      }
+    }
+  }
+}
+
+TEST(CoalesceFastPathProperty, MatchesScalarAtTheBitmapLimits) {
+  // Unsorted groups whose sector span sits just inside and just outside
+  // both bitmap bounds: 1,024 words, and 64 + 4 words per expanded sector.
+  constexpr std::uint64_t kWordSectors = 64;
+  for (const std::uint64_t lo_sector : {5ull, (1ull << 33) + 17}) {
+    const std::uint64_t lo = lo_sector * kSector;
+    for (const std::uint64_t span_words : {1023ull, 1024ull, 1025ull}) {
+      // Enough expanded sectors that only the 1,024-word bound applies.
+      std::vector<LaneAccess> accesses;
+      const std::uint64_t hi = lo + (span_words * kWordSectors - 1) * kSector;
+      accesses.push_back({hi, 8});
+      for (std::uint32_t i = 0; i < 300; ++i) {
+        accesses.push_back({lo + std::uint64_t(i) * 7 * kSector % (hi - lo),
+                            i % 5 == 0 ? 48u : 8u});
+      }
+      accesses.push_back({lo, 8});
+      EXPECT_EQ(Sectors(accesses), ScalarSectors(accesses))
+          << "span_words=" << span_words;
+    }
+    for (const std::uint64_t span_words : {71ull, 72ull, 73ull}) {
+      // Two expanded sectors: words <= 64 + 4 * 2 decides.
+      const std::uint64_t hi = lo + (span_words * kWordSectors - 1) * kSector;
+      const std::vector<LaneAccess> accesses{{hi, 8}, {lo, 8}};
+      EXPECT_EQ(Sectors(accesses), (std::vector<std::uint64_t>{
+                                       lo / kSector, hi / kSector}));
+      EXPECT_EQ(Sectors(accesses), ScalarSectors(accesses));
+    }
   }
 }
 

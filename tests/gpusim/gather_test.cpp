@@ -1,6 +1,10 @@
 // Tests for the pipelined batch-load (Gather / LoadRun) mechanism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <new>
+
 #include "gpusim/block.h"
 #include "gpusim/ctx.h"
 #include "gpusim/device.h"
@@ -140,6 +144,89 @@ TEST(Gather, SizedCapacityIsStorageOnly) {
   EXPECT_EQ(sized_out, full_out);
   EXPECT_EQ(sized.stats.load_instructions, 8u);  // 2 batches x 4 warps
   EXPECT_EQ(sized.stats.store_instructions, 4u);
+}
+
+struct FillRun {
+  LaunchResult result;
+  std::vector<double> out;
+  bool slots_untouched = true;  ///< Gather()/Scatter() left the fill alone
+};
+
+/// The batches of RunBatchesWithCapacity, but each lane fills 1..kPer
+/// slots of default-capacity awaiters constructed over storage pre-filled
+/// with `fill`, so every batch leaves most of its slots unfilled.
+FillRun RunBatchesOverFill(unsigned char fill) {
+  using G = detail::GatherAwaiter<double>;
+  using S = detail::ScatterAwaiter<double>;
+  auto dev = MakeDevice();
+  const std::uint32_t n = 2 * 64 * kPer;
+  auto in = *dev->Malloc(n * sizeof(double));
+  auto out = *dev->Malloc(n * sizeof(double));
+  auto pi = in.Typed<double>(), po = out.Typed<double>();
+  for (std::uint32_t i = 0; i < n; ++i) pi[i] = 0.5 * i;
+  FillRun run;
+  // True when the last slot's bytes still hold the fill.
+  const auto untouched = [fill](const std::uint64_t* words) {
+    const auto* mem = reinterpret_cast<const unsigned char*>(words);
+    const std::size_t last = sizeof(BatchSlot) * (detail::kMaxGather - 1);
+    return std::all_of(mem + last, mem + last + sizeof(BatchSlot),
+                       [fill](unsigned char b) { return b == fill; });
+  };
+  LaunchConfig cfg{.grid = {2, 1, 1}, .block = {64, 1, 1}};
+  auto result = dev->Launch(cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
+    const std::uint32_t gid =
+        ctx.block_id * ctx.block_threads + ctx.thread_id;
+    const std::uint32_t per = 1 + gid % kPer;
+    const std::uint32_t base = (gid * 7) % (n / kPer) * kPer;
+    // Word arrays, not alignas char arrays: coroutine frames do not honour
+    // alignas on locals with every compiler.
+    static_assert(alignof(G) <= 8 && alignof(S) <= 8);
+    std::uint64_t g_mem[sizeof(G) / 8];
+    std::uint64_t r_mem[sizeof(G) / 8];
+    std::uint64_t s_mem[sizeof(S) / 8];
+    std::memset(g_mem, fill, sizeof(g_mem));
+    std::memset(r_mem, fill, sizeof(r_mem));
+    std::memset(s_mem, fill, sizeof(s_mem));
+    G& g = *::new (g_mem) G(ctx.Gather<double>());
+    if (!untouched(g_mem)) run.slots_untouched = false;
+    for (std::uint32_t j = 0; j < per; ++j) g.Add(pi + (base + j));
+    co_await g;
+    G& r = *::new (r_mem) G(ctx.LoadRun(pi + gid * kPer, per));
+    co_await r;
+    S& s = *::new (s_mem) S(ctx.Scatter<double>());
+    if (!untouched(s_mem)) run.slots_untouched = false;
+    for (std::uint32_t j = 0; j < per; ++j) {
+      s.Add(po + (gid * kPer + j), g.Result(j) + r.Result(j));
+    }
+    co_await s;
+  });
+  DGC_CHECK(result.ok());
+  run.result = std::move(*result);
+  run.out.assign(po.host, po.host + n);
+  return run;
+}
+
+TEST(Gather, UnfilledSlotsAreNeverRead) {
+  // Slots past `count` are uninitialized: constructing an awaiter writes
+  // none of them, and nothing downstream reads them, so garbage there
+  // changes no result, cycle or counter.
+  const FillRun zero = RunBatchesOverFill(0x00);
+  const FillRun garbage = RunBatchesOverFill(0xA5);
+  EXPECT_TRUE(garbage.slots_untouched);
+  EXPECT_EQ(garbage.out, zero.out);
+  EXPECT_EQ(garbage.result.cycles, zero.result.cycles);
+  EXPECT_EQ(garbage.result.stats, zero.result.stats);
+  EXPECT_EQ(garbage.result.instance_stats, zero.result.instance_stats);
+  EXPECT_EQ(zero.result.stats.load_instructions, 8u);
+  EXPECT_EQ(zero.result.stats.store_instructions, 4u);
+  for (std::uint32_t gid = 0; gid < 128; ++gid) {
+    const std::uint32_t base = (gid * 7) % 128 * kPer;
+    for (std::uint32_t j = 0; j < kPer; ++j) {
+      const double expect =
+          j <= gid % kPer ? 0.5 * (base + j) + 0.5 * (gid * kPer + j) : 0.0;
+      ASSERT_EQ(garbage.out[gid * kPer + j], expect) << gid << " " << j;
+    }
+  }
 }
 
 TEST(GatherDeathTest, LoadRunPastCapacityFailsItsCheck) {
