@@ -11,6 +11,7 @@
 #include "ensemble/argfile.h"
 #include "ensemble/argscript.h"
 #include "ensemble/loader.h"
+#include "gpusim/cache.h"
 #include "gpusim/coalesce.h"
 #include "gpusim/ctx.h"
 #include "gpusim/device.h"
@@ -119,6 +120,50 @@ void BM_CoalesceBatchWide(benchmark::State& state) {
   CoalesceBatchGroups(state, groups);
 }
 BENCHMARK(BM_CoalesceBatchWide);
+
+/// The lane-to-warp hand-off layer: one 32-lane block whose lanes each
+/// chase 64 dependent scalar Loads through a 1 KiB (L1-resident) array, so
+/// host time is mostly lane resume, awaiter set-up and the warp's issue of
+/// one-sector instructions. `lane_op` is host time per lane-op.
+void BM_LaneHandoffScalarLoads(benchmark::State& state) {
+  constexpr std::uint32_t kLanes = 32, kLoads = 64, kElems = 256;
+  sim::Device device(sim::DeviceSpec::TestDevice());
+  auto buf = *device.Malloc(kElems * sizeof(std::uint32_t));
+  auto p = buf.Typed<std::uint32_t>();
+  for (std::uint32_t i = 0; i < kElems; ++i) p[i] = (i * 37 + 11) % kElems;
+  const sim::LaunchConfig cfg{.grid = {1, 1, 1}, .block = {kLanes, 1, 1}};
+  for (auto _ : state) {
+    auto r = device.Launch(cfg, [&](sim::ThreadCtx& ctx) -> sim::DeviceTask<void> {
+      std::uint32_t i = ctx.thread_id;
+      for (std::uint32_t k = 0; k < kLoads; ++k) i = co_await ctx.Load(p + i);
+    });
+    benchmark::DoNotOptimize(r->cycles);
+  }
+  state.counters["lane_op"] = benchmark::Counter(
+      kLanes * kLoads,
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LaneHandoffScalarLoads);
+
+/// The L2 sector cache alone, at the a100/512 shape: 160 sets x 16 ways,
+/// not a power of two, so every lookup takes the modulo set index. The
+/// seeded stream draws from twice the cache's sectors (a mix of hits and
+/// evictions) and rotates so no one pattern is replayed.
+void BM_SectorCacheAccess(benchmark::State& state) {
+  const sim::DeviceSpec spec = sim::DeviceSpec::A100_40GB(512);
+  sim::SectorCache l2(spec.l2_bytes, spec.sector_bytes, spec.l2_ways);
+  Rng rng(11);
+  std::vector<std::uint64_t> stream(1 << 14);
+  const std::uint64_t span = 2 * std::uint64_t(l2.sets()) * l2.ways();
+  for (auto& s : stream) s = 0x8000 + rng.NextBounded(span);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(l2.Access(stream[next]));
+    next = (next + 1) & (stream.size() - 1);
+  }
+  state.counters["sets"] = l2.sets();
+}
+BENCHMARK(BM_SectorCacheAccess);
 
 void BM_DeviceMallocFree(benchmark::State& state) {
   sim::DeviceMemory mem(1 << 26);

@@ -36,76 +36,86 @@ namespace detail {
 /// try/catch. Clears the trap: it fires exactly once.
 void RaisePendingTrap();
 
-/// Base for suspending awaiters: parks the op on the current lane and
-/// points the lane's resume cursor at the suspended coroutine.
-struct OpAwaiterBase {
-  DeviceOp op;
-  Lane* lane = nullptr;
+/// The lane-to-warp hand-off (see DeviceOp): parks the suspended coroutine
+/// on the current lane and stamps `kind`; the caller then writes exactly
+/// the fields its kind's issue helper reads. Awaiters hold only their
+/// arguments — their storage lives in the caller's coroutine frame, once
+/// per co_await site — and find the lane again through CurrentLane().
+inline DeviceOp& ParkOp(std::coroutine_handle<> h, DeviceOp::Kind kind) {
+  Lane* lane = CurrentLane();
+  lane->top = h;
+  lane->pending.kind = kind;
+  return lane->pending;
+}
 
+/// Resume side of the hand-off: raises an armed trap, else returns the
+/// issued op's result.
+inline std::uint64_t ResumeResult() {
+  RaisePendingTrap();
+  return CurrentLane()->pending_result;
+}
+
+/// Parks a scalar memory op (load, store, atomic) on `p`.
+template <typename T>
+DeviceOp& ParkAccess(std::coroutine_handle<> h, DeviceOp::Kind kind,
+                     DevicePtr<T> p) {
+  DeviceOp& op = ParkOp(h, kind);
+  op.bytes = sizeof(T);
+  op.addr = p.addr;
+  op.host = p.host;
+  return op;
+}
+
+template <typename T>
+struct LoadAwaiter {
+  DevicePtr<T> p;
   bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    lane = CurrentLane();
-    lane->pending = op;
-    lane->top = h;
+  void await_suspend(std::coroutine_handle<> h) const {
+    ParkAccess(h, DeviceOp::Kind::kLoad, p);
   }
+  T await_resume() const { return FromBits<T>(ResumeResult()); }
 };
 
 template <typename T>
-struct LoadAwaiter : OpAwaiterBase {
-  explicit LoadAwaiter(DevicePtr<T> p) {
-    op.kind = DeviceOp::Kind::kLoad;
-    op.bytes = sizeof(T);
-    op.addr = p.addr;
-    op.host = p.host;
-  }
-  T await_resume() const {
-    RaisePendingTrap();
-    return FromBits<T>(lane->pending_result);
-  }
-};
-
-template <typename T>
-struct StoreAwaiter : OpAwaiterBase {
-  StoreAwaiter(DevicePtr<T> p, T value) {
-    op.kind = DeviceOp::Kind::kStore;
-    op.bytes = sizeof(T);
-    op.addr = p.addr;
-    op.host = p.host;
-    op.bits = ToBits(value);
+struct StoreAwaiter {
+  DevicePtr<T> p;
+  T value;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    ParkAccess(h, DeviceOp::Kind::kStore, p).bits = ToBits(value);
   }
   void await_resume() const { RaisePendingTrap(); }
 };
 
 template <typename T>
-struct AtomicAwaiter : OpAwaiterBase {
-  AtomicAwaiter(DevicePtr<T> p, T operand,
-                std::uint64_t (*apply)(void*, std::uint64_t)) {
-    op.kind = DeviceOp::Kind::kAtomic;
-    op.bytes = sizeof(T);
-    op.addr = p.addr;
-    op.host = p.host;
+struct AtomicAwaiter {
+  DevicePtr<T> p;
+  T operand;
+  std::uint64_t (*apply)(void*, std::uint64_t);
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    DeviceOp& op = ParkAccess(h, DeviceOp::Kind::kAtomic, p);
     op.bits = ToBits(operand);
     op.apply = apply;
   }
   /// Returns the value observed *before* the update, like CUDA atomics.
-  T await_resume() const {
-    RaisePendingTrap();
-    return FromBits<T>(lane->pending_result);
-  }
+  T await_resume() const { return FromBits<T>(ResumeResult()); }
 };
 
-struct WorkAwaiter : OpAwaiterBase {
-  explicit WorkAwaiter(std::uint64_t cycles) {
-    op.kind = DeviceOp::Kind::kWork;
-    op.cycles = cycles;
+struct WorkAwaiter {
+  std::uint64_t cycles;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    ParkOp(h, DeviceOp::Kind::kWork).cycles = cycles;
   }
   void await_resume() const { RaisePendingTrap(); }
 };
 
-struct SyncAwaiter : OpAwaiterBase {
-  explicit SyncAwaiter(Barrier* barrier) {
-    op.kind = DeviceOp::Kind::kSync;
-    op.barrier = barrier;
+struct SyncAwaiter {
+  Barrier* barrier;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    ParkOp(h, DeviceOp::Kind::kSync).barrier = barrier;
   }
   void await_resume() const { RaisePendingTrap(); }
 };
@@ -124,8 +134,8 @@ struct SyncAwaiter : OpAwaiterBase {
 /// (`Gather<double, 3>()`, `LoadRun<4>(p, 4)`); the warp sees only the
 /// filled count, so N never changes timing or stats. The empty
 /// user-provided constructor leaves the slots uninitialized (even under
-/// `return {}`), so constructing a batch writes only `count` and `lane`,
-/// never N slots; Add fills [0, count), the only slots anything reads.
+/// `return {}`), so constructing a batch writes only `count`, never N
+/// slots; Add fills [0, count), the only slots anything reads.
 inline constexpr std::uint32_t kMaxGather = 96;
 
 template <typename T, std::uint32_t N = kMaxGather>
@@ -135,7 +145,6 @@ struct GatherAwaiter {
 
   BatchSlot slots[N];
   std::uint32_t count = 0;
-  Lane* lane = nullptr;
 
   GatherAwaiter() {}
 
@@ -149,17 +158,17 @@ struct GatherAwaiter {
 
   bool await_ready() const noexcept { return count == 0; }
   void await_suspend(std::coroutine_handle<> h) {
-    lane = CurrentLane();
-    lane->pending = DeviceOp{};
-    lane->pending.kind = DeviceOp::Kind::kLoadBatch;
-    lane->pending.batch = slots;
-    lane->pending.batch_count = count;
-    lane->top = h;
+    DeviceOp& op = ParkOp(h, DeviceOp::Kind::kLoadBatch);
+    op.batch = slots;
+    op.batch_count = count;
   }
   void await_resume() const { RaisePendingTrap(); }
 
-  /// The i-th loaded value, valid after the co_await completes.
-  T Result(std::uint32_t i) const { return FromBits<T>(slots[i].result); }
+  /// The i-th loaded value (i < count), valid after the co_await completes.
+  T Result(std::uint32_t i) const {
+    DGC_CHECK(i < count);
+    return FromBits<T>(slots[i].result);
+  }
 };
 
 /// Pipelined batch store — the write-side counterpart of GatherAwaiter,
@@ -183,12 +192,9 @@ struct ScatterAwaiter {
 
   bool await_ready() const noexcept { return count == 0; }
   void await_suspend(std::coroutine_handle<> h) {
-    Lane* lane = CurrentLane();
-    lane->pending = DeviceOp{};
-    lane->pending.kind = DeviceOp::Kind::kStoreBatch;
-    lane->pending.batch = slots;
-    lane->pending.batch_count = count;
-    lane->top = h;
+    DeviceOp& op = ParkOp(h, DeviceOp::Kind::kStoreBatch);
+    op.batch = slots;
+    op.batch_count = count;
   }
   void await_resume() const { RaisePendingTrap(); }
 };
@@ -196,21 +202,14 @@ struct ScatterAwaiter {
 struct ExternalAwaiter {
   std::function<std::uint64_t()>* fn;  ///< caller-owned; see HostCall docs
   std::uint64_t latency;
-  Lane* lane = nullptr;
 
   bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    lane = CurrentLane();
-    lane->pending = DeviceOp{};
-    lane->pending.kind = DeviceOp::Kind::kExternal;
-    lane->pending.cycles = latency;
-    lane->pending.external = fn;
-    lane->top = h;
+  void await_suspend(std::coroutine_handle<> h) const {
+    DeviceOp& op = ParkOp(h, DeviceOp::Kind::kExternal);
+    op.cycles = latency;
+    op.external = fn;
   }
-  std::uint64_t await_resume() const {
-    RaisePendingTrap();
-    return lane->pending_result;
-  }
+  std::uint64_t await_resume() const { return ResumeResult(); }
 };
 
 // Every awaiter must be trivially destructible: temporaries inside a
@@ -255,20 +254,20 @@ struct ThreadCtx {
   // --- Timed device operations (co_await the result) ------------------------
   template <typename T>
   detail::LoadAwaiter<T> Load(DevicePtr<T> p) const {
-    return detail::LoadAwaiter<T>(p);
+    return {p};
   }
   template <typename T>
   detail::StoreAwaiter<T> Store(DevicePtr<T> p, T value) const {
-    return detail::StoreAwaiter<T>(p, value);
+    return {p, value};
   }
   template <typename T>
   detail::AtomicAwaiter<T> AtomicAdd(DevicePtr<T> p, T v) const {
-    return detail::AtomicAwaiter<T>(p, v, &detail::ApplyAdd<T>);
+    return {p, v, &detail::ApplyAdd<T>};
   }
 
   /// Pure compute for `cycles` SM cycles (contends for issue pipes).
   detail::WorkAwaiter Work(std::uint64_t cycles) const {
-    return detail::WorkAwaiter(cycles);
+    return {cycles};
   }
 
   /// Empty gather of capacity N to fill with Add() and then co_await:
@@ -322,7 +321,7 @@ struct ThreadCtx {
 
   /// Barrier over an explicit lane set (sub-team synchronization).
   detail::SyncAwaiter SyncOn(Barrier* barrier) const {
-    return detail::SyncAwaiter(barrier);
+    return {barrier};
   }
 
   /// Host callback (the RPC hook): pays `latency` device cycles and runs
@@ -335,7 +334,7 @@ struct ThreadCtx {
   ///   auto reply = co_await ctx.HostCall(&handler, latency);
   detail::ExternalAwaiter HostCall(std::function<std::uint64_t()>* fn,
                                    std::uint64_t latency) const {
-    return detail::ExternalAwaiter{fn, latency};
+    return {fn, latency};
   }
 };
 

@@ -51,7 +51,12 @@ struct BatchSlot {
   std::uint8_t bytes;
 };
 
-/// One pending device operation of a suspended lane.
+/// One pending device operation of a suspended lane: the lane-to-warp
+/// hand-off, copied on every timed op. An awaiter writes `kind` and the
+/// fields its kind's issue helper in warp.cpp reads (noted per field); the
+/// warp clears only `kind`. Other fields hold stale values of earlier ops,
+/// so no kind reads a field it does not write — which lets the two unions
+/// share one operand word and one pointer word.
 struct DeviceOp {
   enum class Kind : std::uint8_t {
     kNone,
@@ -66,20 +71,23 @@ struct DeviceOp {
   };
 
   Kind kind = Kind::kNone;
-  std::uint8_t bytes = 0;
-  DeviceAddr addr = 0;
-  void* host = nullptr;
-  std::uint64_t bits = 0;    ///< store value / atomic operand
-  std::uint64_t result = 0;  ///< load result / atomic old value / RPC result
-  std::uint64_t cycles = 0;  ///< work duration or external latency
-  /// Atomic read-modify-write, applied at issue time in lane order.
-  std::uint64_t (*apply)(void* host, std::uint64_t operand) = nullptr;
-  Barrier* barrier = nullptr;
-  std::function<std::uint64_t()>* external = nullptr;
-  /// kLoadBatch: the awaiter-owned slots (stable across the suspension).
-  BatchSlot* batch = nullptr;
-  std::uint32_t batch_count = 0;
+  std::uint8_t bytes = 0;         ///< load / store / atomic
+  std::uint32_t batch_count = 0;  ///< batch kinds
+  DeviceAddr addr = 0;            ///< load / store / atomic
+  void* host = nullptr;           ///< load / store / atomic
+  union {
+    std::uint64_t bits = 0;  ///< store value / atomic operand
+    std::uint64_t cycles;    ///< work duration or external latency
+  };
+  union {
+    /// Atomic read-modify-write, applied at issue time in lane order.
+    std::uint64_t (*apply)(void* host, std::uint64_t operand) = nullptr;
+    Barrier* barrier;                          ///< sync
+    std::function<std::uint64_t()>* external;  ///< external (RPC)
+    BatchSlot* batch;  ///< batch kinds: awaiter-owned, stable while parked
+  };
 };
+static_assert(sizeof(DeviceOp) <= 40);
 
 class Lane {
  public:
@@ -103,37 +111,43 @@ class Lane {
     return error_slot_ != nullptr ? *error_slot_ : nullptr;
   }
 
+  /// Set by the root coroutine's final awaiter.
+  void MarkRootFinished() { root_finished_ = true; }
+
   // --- Scheduler state (owned by Warp/Block/Barrier) ------------------------
+  // The fields every resume and issue touches come first, so they share the
+  // lane's first cache line; the cold ones follow.
   State state = State::kReady;
+  /// Armed trap, raised as a DeviceTrap inside the coroutine at the lane's
+  /// next resume point (see detail::RaisePendingTrap in ctx.h). Set by the
+  /// warp scheduler for watchdog expiry and injected trap sites.
+  TrapKind pending_trap = TrapKind::kNone;
+
+ private:
+  bool root_finished_ = false;
+
+ public:
+  std::uint32_t thread_id = 0;  ///< linear id within the block
   std::uint64_t ready_at = 0;
   DeviceOp pending;
   /// Result of the most recently issued op (read by the awaiter on resume;
   /// survives the warp clearing `pending`).
   std::uint64_t pending_result = 0;
   std::coroutine_handle<> top;  ///< innermost resumable coroutine
-  Warp* warp = nullptr;
-  Block* block = nullptr;
-  ThreadCtx* ctx = nullptr;
-  std::uint32_t thread_id = 0;  ///< linear id within the block
-  std::vector<Barrier*> memberships;  ///< barriers counting this lane
-
-  /// Armed trap, raised as a DeviceTrap inside the coroutine at the lane's
-  /// next resume point (see detail::RaisePendingTrap in ctx.h). Set by the
-  /// warp scheduler for watchdog expiry and injected trap sites.
-  TrapKind pending_trap = TrapKind::kNone;
-  /// Cycle at which pending_trap was armed (for the trap message).
-  std::uint64_t trap_cycle = 0;
   /// Per-lane watchdog: trap the lane at its first resume at or after this
   /// cycle. 0 = disarmed. Re-armed per instance by the ensemble loader.
   std::uint64_t watchdog_deadline = 0;
 
-  /// Set by the root coroutine's final awaiter.
-  void MarkRootFinished() { root_finished_ = true; }
+  Warp* warp = nullptr;
+  Block* block = nullptr;
+  ThreadCtx* ctx = nullptr;
+  std::vector<Barrier*> memberships;  ///< barriers counting this lane
+  /// Cycle at which pending_trap was armed (for the trap message).
+  std::uint64_t trap_cycle = 0;
 
  private:
   std::coroutine_handle<> root_;
   std::exception_ptr* error_slot_ = nullptr;
-  bool root_finished_ = false;
 };
 
 /// The lane currently being resumed. Awaiters use it to reach the scheduler

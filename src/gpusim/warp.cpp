@@ -134,15 +134,17 @@ void Warp::ResumePhase(std::uint64_t now) {
 DeviceOp::Kind Warp::SelectIssueGroup(std::size_t& remaining) {
   // The first un-issued lane (in lane order) defines the group: all
   // remaining lanes whose pending op matches its kind (and barrier /
-  // address space) issue together.
-  const DeviceOp::Kind kind = pending_lanes_.front()->pending.kind;
-  Barrier* const barrier = pending_lanes_.front()->pending.barrier;
-  const bool shared_space = IsSharedAddr(pending_lanes_.front()->pending.addr);
-  const bool is_mem = kind == DeviceOp::Kind::kLoad ||
-                      kind == DeviceOp::Kind::kStore ||
-                      kind == DeviceOp::Kind::kAtomic ||
-                      kind == DeviceOp::Kind::kLoadBatch ||
-                      kind == DeviceOp::Kind::kStoreBatch;
+  // address space) issue together. A DeviceOp holds stale fields of other
+  // kinds, so `barrier` is read only for kSync and `addr` only for the
+  // scalar memory kinds (batches are global-only, one space).
+  const DeviceOp& lead = pending_lanes_.front()->pending;
+  const DeviceOp::Kind kind = lead.kind;
+  Barrier* const barrier =
+      kind == DeviceOp::Kind::kSync ? lead.barrier : nullptr;
+  const bool scalar_mem = kind == DeviceOp::Kind::kLoad ||
+                          kind == DeviceOp::Kind::kStore ||
+                          kind == DeviceOp::Kind::kAtomic;
+  const bool shared_space = scalar_mem && IsSharedAddr(lead.addr);
   group_.clear();
   std::size_t keep = 0;
   for (std::size_t i = 0; i < remaining; ++i) {
@@ -150,7 +152,7 @@ DeviceOp::Kind Warp::SelectIssueGroup(std::size_t& remaining) {
     const bool match =
         lane->pending.kind == kind &&
         (kind != DeviceOp::Kind::kSync || lane->pending.barrier == barrier) &&
-        (!is_mem || IsSharedAddr(lane->pending.addr) == shared_space);
+        (!scalar_mem || IsSharedAddr(lane->pending.addr) == shared_space);
     if (match) {
       group_.push_back(lane);
     } else {
@@ -247,7 +249,7 @@ std::uint64_t Warp::ProcessPhase(std::uint64_t now) {
                                  is_mem ? std::uint32_t(sectors_.size()) : 0});
     }
     for (Lane* lane : group_) {
-      lane->pending = DeviceOp{};
+      lane->pending.kind = DeviceOp::Kind::kNone;
       processed_.push_back(lane);
     }
     t = std::max(t, t_end);
@@ -411,7 +413,7 @@ std::uint64_t Warp::IssueExternalGroup(std::span<Lane*> group, std::uint64_t t,
 void Warp::IssueSyncGroup(std::span<Lane*> group, std::uint64_t t) {
   for (Lane* lane : group) {
     Barrier* barrier = lane->pending.barrier;
-    lane->pending = DeviceOp{};
+    lane->pending.kind = DeviceOp::Kind::kNone;
     // Arrivals attribute per lane: with teams packed into one block, lanes
     // of a sync group can belong to different instances.
     ++lc_->IssueStats(block_->id(), lane->thread_id).barrier_arrivals;

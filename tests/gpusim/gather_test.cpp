@@ -237,6 +237,17 @@ TEST(GatherDeathTest, LoadRunPastCapacityFailsItsCheck) {
   EXPECT_DEATH({ (void)ctx.LoadRun<4>(p, 5); }, "count <= N");
 }
 
+TEST(GatherDeathTest, ResultPastCountFailsItsCheck) {
+  // Slots past `count` are uninitialized, so reading one is a bug.
+  auto dev = MakeDevice();
+  auto buf = *dev->Malloc(8 * sizeof(double));
+  auto p = buf.Typed<double>();
+  ThreadCtx ctx;
+  const auto g = ctx.LoadRun<4>(p, 2);
+  EXPECT_EQ(g.Result(1), 0.0);
+  EXPECT_DEATH({ (void)g.Result(2); }, "i < count");
+}
+
 TEST(Gather, BatchIsFasterThanDependentScalarLoads) {
   // The point of the mechanism: N independent loads in one batch pay one
   // latency, N scalar loads pay N.
