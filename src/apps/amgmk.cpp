@@ -167,6 +167,7 @@ struct AmgView {
 /// off-diagonals, so 3 rows (≤ 78 entries) fit one pipelined gather —
 /// the MLP depth a tuned streaming kernel achieves.
 constexpr std::uint32_t kRowsPerTask = 3;
+constexpr std::uint32_t kMaxStrip = kRowsPerTask * 26;  ///< entries, at most
 
 /// A strip of rows of the relax kernel: the streaming CSR traversal that
 /// makes AMGmk bandwidth-bound. All loads of the strip are independent, so
@@ -190,23 +191,19 @@ DeviceTask<void> RelaxRows(ThreadCtx& ctx, const AmgView& view,
   double acc[kRowsPerTask];
   for (std::uint32_t r = 0; r < nrows; ++r) acc[r] = row_scalars.Result(3 * r);
 
-  std::uint32_t k = span_begin;
-  std::uint32_t row = 0;  // row (relative) owning index k
-  while (k < span_end) {
-    const std::uint32_t chunk =
-        std::min<std::uint32_t>(span_end - k, sim::detail::kMaxGather);
-    auto cols = ctx.LoadRun(view.col + k, chunk);
-    co_await cols;
-    auto vals = ctx.LoadRun(view.val + k, chunk);
-    co_await vals;
-    auto xs = ctx.Gather<double>();
-    for (std::uint32_t j = 0; j < chunk; ++j) xs.Add(u_in + cols.Result(j));
-    co_await xs;
-    for (std::uint32_t j = 0; j < chunk; ++j) {
-      while (k + j >= header.Result(row + 1)) ++row;
-      acc[row] -= vals.Result(j) * xs.Result(j);
-    }
-    k += chunk;
+  const std::uint32_t span = span_end - span_begin;
+  DGC_CHECK(span <= kMaxStrip);
+  auto cols = ctx.LoadRun<kMaxStrip>(view.col + span_begin, span);
+  co_await cols;
+  auto vals = ctx.LoadRun<kMaxStrip>(view.val + span_begin, span);
+  co_await vals;
+  auto xs = ctx.Gather<double, kMaxStrip>();
+  for (std::uint32_t j = 0; j < span; ++j) xs.Add(u_in + cols.Result(j));
+  co_await xs;
+  std::uint32_t row = 0;  // row (relative) owning entry span_begin + j
+  for (std::uint32_t j = 0; j < span; ++j) {
+    while (span_begin + j >= header.Result(row + 1)) ++row;
+    acc[row] -= vals.Result(j) * xs.Result(j);
   }
   co_await ctx.Work(2 * (span_end - span_begin) + 10 * nrows);
   auto updates = ctx.Scatter<double, kRowsPerTask>();

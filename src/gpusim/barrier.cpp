@@ -29,10 +29,9 @@ void Barrier::MaybeRelease(Engine& engine) {
   if (expected_ == 0 || waiters_.size() < expected_) return;
   ++releases_;
   const std::uint64_t t = max_arrival_;
-  std::vector<Waiter> waiters = std::move(waiters_);
-  waiters_.clear();
   max_arrival_ = 0;
-  for (const Waiter& w : waiters) {
+  // WakeAt only schedules (no re-entry), and clear() below keeps capacity.
+  for (const Waiter& w : waiters_) {
     Lane* lane = w.lane;
     // Each lane stalled from its own arrival to the (shared) release.
     if (lane->block != nullptr && t > w.arrived) {
@@ -44,6 +43,7 @@ void Barrier::MaybeRelease(Engine& engine) {
     lane->ready_at = t;
     lane->warp->WakeAt(t, engine);
   }
+  waiters_.clear();
 }
 
 }  // namespace dgc::sim

@@ -130,12 +130,13 @@ struct SyncAwaiter {
 ///
 /// N is storage only: the slots live inline in the awaiter, i.e. in the
 /// frame of the coroutine that declares it, and every simulated lane keeps
-/// that frame alive. A batch with a fixed bound should say so
-/// (`Gather<double, 3>()`, `LoadRun<4>(p, 4)`); the warp sees only the
-/// filled count, so N never changes timing or stats. The empty
-/// user-provided constructor leaves the slots uninitialized (even under
-/// `return {}`), so constructing a batch writes only `count`, never N
-/// slots; Add fills [0, count), the only slots anything reads.
+/// that frame alive (16 B per gather slot, 24 B per scatter slot). A batch
+/// with a fixed bound should say so (`Gather<double, 3>()`,
+/// `LoadRun<4>(p, 4)`); the warp sees only the filled count, so N never
+/// changes timing or stats. The empty user-provided constructor leaves the
+/// slots uninitialized (even under `return {}`), so constructing a batch
+/// writes only `count`, never N slots; Add fills [0, count), the only slots
+/// anything reads.
 inline constexpr std::uint32_t kMaxGather = 96;
 
 template <typename T, std::uint32_t N = kMaxGather>
@@ -145,27 +146,35 @@ struct GatherAwaiter {
 
   BatchSlot slots[N];
   std::uint32_t count = 0;
+  bool issued = false;  ///< set on resume; Add/co_await/Result check it
 
   GatherAwaiter() {}
 
   /// Appends one element; silently ignored beyond N (callers chunk;
   /// Full() lets them check).
   void Add(DevicePtr<T> p) {
+    DGC_CHECK(!issued);
     if (count >= N) return;
-    slots[count++] = BatchSlot{p.addr, p.host, 0, sizeof(T)};
+    slots[count++] = BatchSlot{p.addr, {p.host}};
   }
   bool Full() const { return count >= N; }
 
   bool await_ready() const noexcept { return count == 0; }
   void await_suspend(std::coroutine_handle<> h) {
+    DGC_CHECK(!issued);
     DeviceOp& op = ParkOp(h, DeviceOp::Kind::kLoadBatch);
-    op.batch = slots;
+    op.bytes = sizeof(T);
     op.batch_count = count;
+    op.batch = slots;
   }
-  void await_resume() const { RaisePendingTrap(); }
+  void await_resume() {
+    issued = true;
+    RaisePendingTrap();
+  }
 
   /// The i-th loaded value (i < count), valid after the co_await completes.
   T Result(std::uint32_t i) const {
+    DGC_CHECK(issued);
     DGC_CHECK(i < count);
     return FromBits<T>(slots[i].result);
   }
@@ -179,22 +188,23 @@ struct ScatterAwaiter {
   static_assert(sizeof(T) <= 8 && std::is_trivially_copyable_v<T>);
   static_assert(1 <= N && N <= kMaxGather);
 
-  BatchSlot slots[N];
+  StoreSlot slots[N];
   std::uint32_t count = 0;
 
   ScatterAwaiter() {}
 
   void Add(DevicePtr<T> p, T value) {
     if (count >= N) return;
-    slots[count++] = BatchSlot{p.addr, p.host, ToBits(value), sizeof(T)};
+    slots[count++] = StoreSlot{p.addr, p.host, ToBits(value)};
   }
   bool Full() const { return count >= N; }
 
   bool await_ready() const noexcept { return count == 0; }
   void await_suspend(std::coroutine_handle<> h) {
     DeviceOp& op = ParkOp(h, DeviceOp::Kind::kStoreBatch);
-    op.batch = slots;
+    op.bytes = sizeof(T);
     op.batch_count = count;
+    op.store_batch = slots;
   }
   void await_resume() const { RaisePendingTrap(); }
 };

@@ -41,15 +41,24 @@ T FromBits(std::uint64_t b) {
   return v;
 }
 
-/// One element of a batched (pipelined) load — see ThreadCtx::Gather. No
-/// member initializers: an awaiter's unfilled slots stay uninitialized and
-/// only slots [0, count) are ever written or read.
+/// One element of a batched (pipelined) load — see ThreadCtx::Gather. Issue
+/// overwrites `host` with the loaded value; the width is in DeviceOp::bytes.
+/// No member initializers: an awaiter's unfilled slots stay uninitialized
+/// and only slots [0, count) are ever written or read.
 struct BatchSlot {
   DeviceAddr addr;
-  void* host;
-  std::uint64_t result;
-  std::uint8_t bytes;
+  union { void* host; std::uint64_t result; };  // result: after issue
 };
+static_assert(sizeof(BatchSlot) == 16);
+
+/// One element of a batched store — see ThreadCtx::Scatter. A store needs
+/// its address, target and value at once, so no word is shared.
+struct StoreSlot {
+  DeviceAddr addr;
+  void* host;
+  std::uint64_t value;
+};
+static_assert(sizeof(StoreSlot) == 24);
 
 /// One pending device operation of a suspended lane: the lane-to-warp
 /// hand-off, copied on every timed op. An awaiter writes `kind` and the
@@ -71,7 +80,7 @@ struct DeviceOp {
   };
 
   Kind kind = Kind::kNone;
-  std::uint8_t bytes = 0;         ///< load / store / atomic
+  std::uint8_t bytes = 0;         ///< memory kinds (per element for batches)
   std::uint32_t batch_count = 0;  ///< batch kinds
   DeviceAddr addr = 0;            ///< load / store / atomic
   void* host = nullptr;           ///< load / store / atomic
@@ -84,7 +93,8 @@ struct DeviceOp {
     std::uint64_t (*apply)(void* host, std::uint64_t operand) = nullptr;
     Barrier* barrier;                          ///< sync
     std::function<std::uint64_t()>* external;  ///< external (RPC)
-    BatchSlot* batch;  ///< batch kinds: awaiter-owned, stable while parked
+    BatchSlot* batch;  ///< load batch: awaiter-owned, stable while parked
+    StoreSlot* store_batch;  ///< store batch: likewise
   };
 };
 static_assert(sizeof(DeviceOp) <= 40);

@@ -322,23 +322,26 @@ std::uint64_t Warp::IssueBatchGroup(std::span<Lane*> group, std::uint64_t t,
   accesses_.clear();
   std::uint64_t total_bytes = 0;
   for (Lane* lane : group) {
-    DeviceOp& op = lane->pending;
+    const DeviceOp& op = lane->pending;
+    const std::uint8_t bytes = op.bytes;  // uniform over the batch
     for (std::uint32_t i = 0; i < op.batch_count; ++i) {
-      BatchSlot& slot = op.batch[i];
-      DGC_CHECK_MSG(!IsSharedAddr(slot.addr),
+      const DeviceAddr addr =
+          is_store ? op.store_batch[i].addr : op.batch[i].addr;
+      DGC_CHECK_MSG(!IsSharedAddr(addr),
                     "Gather/Scatter target global memory only");
       const bool allowed =
           memcheck == nullptr ||
-          memcheck->CheckAccess(*lane, op.kind, slot.addr, slot.bytes,
-                                is_store);
+          memcheck->CheckAccess(*lane, op.kind, addr, bytes, is_store);
       if (is_store) {
-        if (allowed) WriteBits(slot.host, slot.bytes, slot.result);
+        const StoreSlot& slot = op.store_batch[i];
+        if (allowed) WriteBits(slot.host, bytes, slot.value);
       } else {
-        slot.result = allowed ? ReadBits(slot.host, slot.bytes) : 0;
+        BatchSlot& slot = op.batch[i];  // its host pointer becomes its value
+        slot.result = allowed ? ReadBits(slot.host, bytes) : 0;
       }
-      accesses_.push_back({slot.addr, slot.bytes});
-      total_bytes += slot.bytes;
+      accesses_.push_back({addr, bytes});
     }
+    total_bytes += std::uint64_t(bytes) * op.batch_count;
   }
   CoalesceSectors(accesses_, lc_->spec.sector_bytes, sectors_);
   stats.global_sectors += sectors_.size();

@@ -23,7 +23,8 @@ namespace dgc::ensemble {
 namespace {
 
 /// fig6a methodology (thread limit 32, per-instance seeds) shrunk to test
-/// scale: the paper's two lookup benchmarks on the test device.
+/// scale: the paper's two lookup benchmarks on the test device, plus
+/// multi-warp amgmk and pagerank legs.
 std::vector<ExperimentConfig> SmallFig6aConfigs() {
   std::vector<ExperimentConfig> configs;
   ExperimentConfig xs;
@@ -63,6 +64,21 @@ std::vector<ExperimentConfig> SmallFig6aConfigs() {
   amg.spec = sim::DeviceSpec::TestDevice();
   amg.profile = true;
   configs.push_back(amg);
+
+  // Irregular leg: pagerank's CSR neighbour lists issue wide gathers whose
+  // addresses scatter, so the panel also covers the coalescer's unsorted
+  // batch path.
+  ExperimentConfig pr;
+  pr.app = "pagerank";
+  pr.args_for_instance = [](std::uint32_t i) {
+    return std::vector<std::string>{"-g", "2000", "-d", "8",
+                                    "-s", StrFormat("%u", i + 1)};
+  };
+  pr.instance_counts = {1, 2, 4};
+  pr.thread_limit = 64;
+  pr.spec = sim::DeviceSpec::TestDevice();
+  pr.profile = true;
+  configs.push_back(pr);
   return configs;
 }
 

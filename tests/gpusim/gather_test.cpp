@@ -165,11 +165,13 @@ FillRun RunBatchesOverFill(unsigned char fill) {
   auto pi = in.Typed<double>(), po = out.Typed<double>();
   for (std::uint32_t i = 0; i < n; ++i) pi[i] = 0.5 * i;
   FillRun run;
-  // True when the last slot's bytes still hold the fill.
-  const auto untouched = [fill](const std::uint64_t* words) {
+  // True when the bytes of the last of kMaxGather slots of `slot_bytes`
+  // each still hold the fill.
+  const auto untouched = [fill](const std::uint64_t* words,
+                                std::size_t slot_bytes) {
     const auto* mem = reinterpret_cast<const unsigned char*>(words);
-    const std::size_t last = sizeof(BatchSlot) * (detail::kMaxGather - 1);
-    return std::all_of(mem + last, mem + last + sizeof(BatchSlot),
+    const std::size_t last = slot_bytes * (detail::kMaxGather - 1);
+    return std::all_of(mem + last, mem + last + slot_bytes,
                        [fill](unsigned char b) { return b == fill; });
   };
   LaunchConfig cfg{.grid = {2, 1, 1}, .block = {64, 1, 1}};
@@ -188,13 +190,13 @@ FillRun RunBatchesOverFill(unsigned char fill) {
     std::memset(r_mem, fill, sizeof(r_mem));
     std::memset(s_mem, fill, sizeof(s_mem));
     G& g = *::new (g_mem) G(ctx.Gather<double>());
-    if (!untouched(g_mem)) run.slots_untouched = false;
+    if (!untouched(g_mem, sizeof(BatchSlot))) run.slots_untouched = false;
     for (std::uint32_t j = 0; j < per; ++j) g.Add(pi + (base + j));
     co_await g;
     G& r = *::new (r_mem) G(ctx.LoadRun(pi + gid * kPer, per));
     co_await r;
     S& s = *::new (s_mem) S(ctx.Scatter<double>());
-    if (!untouched(s_mem)) run.slots_untouched = false;
+    if (!untouched(s_mem, sizeof(StoreSlot))) run.slots_untouched = false;
     for (std::uint32_t j = 0; j < per; ++j) {
       s.Add(po + (gid * kPer + j), g.Result(j) + r.Result(j));
     }
@@ -237,15 +239,51 @@ TEST(GatherDeathTest, LoadRunPastCapacityFailsItsCheck) {
   EXPECT_DEATH({ (void)ctx.LoadRun<4>(p, 5); }, "count <= N");
 }
 
-TEST(GatherDeathTest, ResultPastCountFailsItsCheck) {
-  // Slots past `count` are uninitialized, so reading one is a bug.
+/// Runs one lane that awaits `LoadRun<4>(p, 2)` over {0.5, 1.5, ...} and
+/// then hands the issued gather to `after`.
+template <typename After>
+void WithIssuedGather(After after) {
   auto dev = MakeDevice();
   auto buf = *dev->Malloc(8 * sizeof(double));
   auto p = buf.Typed<double>();
+  for (int i = 0; i < 8; ++i) p[i] = i + 0.5;
+  LaunchConfig cfg{.grid = {1, 1, 1}, .block = {1, 1, 1}};
+  auto result = dev->Launch(cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
+    auto g = ctx.LoadRun<4>(p, 2);
+    co_await g;
+    co_await after(g);
+  });
+  DGC_CHECK(result.ok() && result->ok());
+}
+
+TEST(GatherDeathTest, ResultPastCountFailsItsCheck) {
+  // Slots past `count` are uninitialized, and a slot holds its host pointer
+  // until the gather is issued, so either read is a bug.
+  double seen = 0;
+  WithIssuedGather([&](auto& g) -> DeviceTask<void> {
+    seen = g.Result(1);
+    co_return;
+  });
+  EXPECT_EQ(seen, 1.5);
+  EXPECT_DEATH(WithIssuedGather([](auto& g) -> DeviceTask<void> {
+                 (void)g.Result(2);
+                 co_return;
+               }),
+               "i < count");
+  auto dev = MakeDevice();
+  auto buf = *dev->Malloc(8 * sizeof(double));
   ThreadCtx ctx;
-  const auto g = ctx.LoadRun<4>(p, 2);
-  EXPECT_EQ(g.Result(1), 0.0);
-  EXPECT_DEATH({ (void)g.Result(2); }, "i < count");
+  const auto unissued = ctx.LoadRun<4>(buf.Typed<double>(), 2);
+  EXPECT_DEATH({ (void)unissued.Result(1); }, "issued");
+}
+
+TEST(GatherDeathTest, SecondAwaitFailsItsCheck) {
+  // After issue the slots hold results, so issuing them again would load
+  // from result bits taken as addresses.
+  EXPECT_DEATH(WithIssuedGather([](auto& g) -> DeviceTask<void> {
+                 co_await g;
+               }),
+               "!issued");
 }
 
 TEST(Gather, BatchIsFasterThanDependentScalarLoads) {

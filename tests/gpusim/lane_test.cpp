@@ -17,6 +17,11 @@ static_assert(sizeof(detail::LoadAwaiter<double>) ==
               sizeof(DevicePtr<double>));
 static_assert(sizeof(detail::WorkAwaiter) == sizeof(std::uint64_t));
 static_assert(sizeof(detail::SyncAwaiter) == sizeof(Barrier*));
+// A batch keeps 16 B per gather slot and 24 B per scatter slot.
+static_assert(sizeof(detail::GatherAwaiter<double>) ==
+              detail::kMaxGather * sizeof(BatchSlot) + 8);
+static_assert(sizeof(detail::ScatterAwaiter<double>) ==
+              detail::kMaxGather * sizeof(StoreSlot) + 8);
 
 /// A current lane whose pending op is 0xA5 garbage apart from
 /// `kind = kNone` — the state a warp leaves behind after issuing an op of
@@ -110,6 +115,7 @@ TEST(Lane, AwaitersWriteEveryFieldTheirKindReads) {
     g.Add(d + 3);
     const DeviceOp& op = s.Park(g);
     EXPECT_EQ(op.kind, Kind::kLoadBatch);
+    EXPECT_EQ(op.bytes, sizeof(double));
     EXPECT_EQ(op.batch, g.slots);
     EXPECT_EQ(op.batch_count, 2u);
   }
@@ -118,6 +124,7 @@ TEST(Lane, AwaitersWriteEveryFieldTheirKindReads) {
     auto r = ctx.LoadRun<4>(d, 3);
     const DeviceOp& op = s.Park(r);
     EXPECT_EQ(op.kind, Kind::kLoadBatch);
+    EXPECT_EQ(op.bytes, sizeof(double));
     EXPECT_EQ(op.batch, r.slots);
     EXPECT_EQ(op.batch_count, 3u);
   }
@@ -127,7 +134,8 @@ TEST(Lane, AwaitersWriteEveryFieldTheirKindReads) {
     sc.Add(f, 1.5f);
     const DeviceOp& op = s.Park(sc);
     EXPECT_EQ(op.kind, Kind::kStoreBatch);
-    EXPECT_EQ(op.batch, sc.slots);
+    EXPECT_EQ(op.bytes, sizeof(float));
+    EXPECT_EQ(op.store_batch, sc.slots);
     EXPECT_EQ(op.batch_count, 1u);
   }
 }

@@ -3,6 +3,8 @@
 // cross-instance (ensemble isolation) checker.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "gpusim/ctx.h"
 #include "gpusim/device.h"
 #include "gpusim/memcheck.h"
@@ -160,6 +162,72 @@ TEST(Memcheck, MisalignedAccessIsFlagged) {
   EXPECT_EQ(rig.memcheck.report().misaligned_count, 1u);
   EXPECT_EQ(rig.memcheck.report().findings[0].kind,
             MemcheckErrorKind::kMisaligned);
+}
+
+TEST(Memcheck, BatchElementsOutOfBoundsAreVetoed) {
+  Rig rig;
+  // The only allocation: 32 doubles fill their 256-byte slot exactly, so
+  // element 32 onward has no live backing storage.
+  auto buf = *rig.device.Malloc(32 * sizeof(double));
+  // Host side of every element, past the end too: a vetoed load must read
+  // 0 rather than these values, and a vetoed store must leave them alone.
+  std::vector<double> host(48);
+  for (std::size_t i = 0; i < host.size(); ++i) host[i] = double(i) + 0.5;
+  const DevicePtr<double> p{buf.addr, host.data()};
+
+  double run[4] = {}, gathered[3] = {};
+  auto result = rig.device.Launch(
+      OneWarp(rig.memcheck), [&](ThreadCtx& ctx) -> DeviceTask<void> {
+        if (ctx.thread_id != 0) co_return;
+        auto r = ctx.LoadRun<4>(p + 30, 4);  // straddles the end
+        co_await r;
+        for (std::uint32_t i = 0; i < 4; ++i) run[i] = r.Result(i);
+        auto g = ctx.Gather<double, 3>();
+        g.Add(p + 31);
+        g.Add(p + 40);
+        g.Add(p + 0);
+        co_await g;
+        for (std::uint32_t i = 0; i < 3; ++i) gathered[i] = g.Result(i);
+        auto s = ctx.Scatter<double, 2>();
+        s.Add(p + 31, 100.0);
+        s.Add(p + 33, 200.0);
+        co_await s;
+      });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->ok());
+
+  EXPECT_EQ(run[0], 30.5);
+  EXPECT_EQ(run[1], 31.5);
+  EXPECT_EQ(run[2], 0.0);
+  EXPECT_EQ(run[3], 0.0);
+  EXPECT_EQ(gathered[0], 31.5);
+  EXPECT_EQ(gathered[1], 0.0);
+  EXPECT_EQ(gathered[2], 0.5);
+  EXPECT_EQ(host[31], 100.0);
+  EXPECT_EQ(host[33], 33.5);
+
+  // One attributed finding per out-of-bounds element, in issue order.
+  const MemcheckReport& report = rig.memcheck.report();
+  EXPECT_EQ(report.oob_count, 4u);
+  EXPECT_EQ(report.total(), 4u);
+  ASSERT_EQ(report.findings.size(), 4u);
+  const struct {
+    DeviceOp::Kind op;
+    std::uint32_t element;
+  } expected[4] = {{DeviceOp::Kind::kLoadBatch, 32},
+                   {DeviceOp::Kind::kLoadBatch, 33},
+                   {DeviceOp::Kind::kLoadBatch, 40},
+                   {DeviceOp::Kind::kStoreBatch, 33}};
+  for (int i = 0; i < 4; ++i) {
+    const MemcheckFinding& f = report.findings[std::size_t(i)];
+    EXPECT_EQ(f.kind, MemcheckErrorKind::kOutOfBounds) << i;
+    EXPECT_EQ(f.op, expected[i].op) << i;
+    EXPECT_EQ(f.addr, buf.addr + expected[i].element * sizeof(double)) << i;
+    EXPECT_EQ(f.bytes, sizeof(double)) << i;
+    EXPECT_TRUE(f.attributed) << i;
+    EXPECT_EQ(f.thread_id, 0u) << i;
+  }
+  EXPECT_EQ(result->stats.memcheck_findings, 4u);
 }
 
 TEST(Memcheck, DeviceAllocationLeakReportedAtKernelExit) {
