@@ -23,7 +23,7 @@ namespace dgc::bench {
 /// worker threads; default one per hardware thread, `--jobs 1` is the
 /// fully serial run — output is identical either way). Exits on bad usage.
 inline std::uint32_t ParseJobsFlag(int argc, char** argv) {
-  std::uint32_t jobs = ThreadPool::DefaultThreads();
+  std::uint32_t jobs = DefaultThreads();
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
@@ -38,7 +38,7 @@ inline std::uint32_t ParseJobsFlag(int argc, char** argv) {
       std::printf("usage: %s [--jobs N]\n"
                   "  --jobs N  concurrent sweep points (default: %u, the\n"
                   "            hardware thread count; 1 = serial)\n",
-                  argv[0], ThreadPool::DefaultThreads());
+                  argv[0], DefaultThreads());
       std::exit(0);
     } else {
       std::fprintf(stderr, "unknown option '%s' (see --help)\n", argv[i]);

@@ -173,7 +173,7 @@ StatusOr<std::vector<SpeedupSeries>> RunSweeps(
   };
 
   const Status run_status = ParallelFor(
-      flat.size(), options.jobs == 0 ? ThreadPool::DefaultThreads() : options.jobs,
+      flat.size(), options.jobs == 0 ? DefaultThreads() : options.jobs,
       [&](std::size_t i) {
         const PointJob& job = flat[i];
         notify(job, SweepPointEvent::Kind::kStarted, false, 0.0);

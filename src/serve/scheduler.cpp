@@ -11,6 +11,7 @@
 #include "gpusim/faults.h"
 #include "gpusim/profiler.h"
 #include "support/str.h"
+#include "support/thread_pool.h"
 
 namespace dgc::serve {
 
@@ -29,9 +30,10 @@ struct Scheduler::DeviceSlot {
   std::uint32_t launch_id = 0;  ///< valid while busy
 };
 
-/// One launch the pool is simulating (or has simulated). Completion is
-/// folded back into the event stream at deterministic virtual times; the
-/// launch is retired once the loop has handled all of those events.
+/// One launch started on a device slot. ResolveInFlight simulates it and
+/// folds its completion back into the event stream at deterministic virtual
+/// times; the launch is retired once the loop has handled all of those
+/// events.
 struct Scheduler::InFlight {
   std::uint32_t id = 0;
   std::uint32_t slot = 0;
@@ -45,8 +47,7 @@ struct Scheduler::InFlight {
   std::unique_ptr<sim::Profiler> profiler;   ///< metrics sidecar (may be null)
   ensemble::EnsembleOptions options;
 
-  std::future<void> future;
-  bool resolved = false;
+  bool resolved = false;        ///< simulated and its events pushed
   std::size_t events_left = 0;  ///< kJobDone + kDeviceFree not yet handled
   bool launch_error = false;  ///< RunEnsemble itself returned a Status error
   std::string error_detail;
@@ -58,12 +59,7 @@ Scheduler::Scheduler(ServeConfig config)
       queue_(config_.queue_capacity),
       admission_(config_.admission) {}
 
-Scheduler::~Scheduler() {
-  // Never leave pool workers touching dying slots: join everything.
-  for (auto& [id, fl] : in_flight_) {
-    if (fl->future.valid() && !fl->resolved) fl->future.get();
-  }
-}
+Scheduler::~Scheduler() = default;
 
 Status Scheduler::Init() {
   if (initialized_) return Status::Ok();
@@ -79,7 +75,6 @@ Status Scheduler::Init() {
   for (std::uint32_t d = 0; d < config_.devices; ++d) {
     slots_.push_back(std::make_unique<DeviceSlot>(config_.spec));
   }
-  pool_ = std::make_unique<ThreadPool>(config_.jobs);
   if (config_.drain_at != 0) {
     PushEvent(Event{config_.drain_at, EventKind::kDrain, 0, 0, 0, {}});
   }
@@ -139,8 +134,8 @@ Status Scheduler::Run() {
     if (config_.drain_poll && !draining_ && config_.drain_poll()) {
       BeginDrain("signal");
     }
-    // Join every launch the pool finished simulating and fold its
-    // completion into the event stream (slot order ⇒ deterministic).
+    // Simulate every launch the last packing pass started and fold its
+    // completion into the event stream (launch-id order ⇒ deterministic).
     ResolveInFlight();
     if (events_.empty()) {
       if (!queue_.Empty()) {
@@ -532,29 +527,37 @@ bool Scheduler::StartOneLaunch(std::uint32_t s) {
                   jobs_list.c_str(), batch.size(), probe ? " probe" : ""));
     slot.busy = true;
     slot.launch_id = fl->id;
-    InFlight* raw = fl.get();
-    DeviceSlot* slot_ptr = &slot;
-    raw->future = pool_->Submit([raw, slot_ptr] {
-      dgcf::AppEnv env{&slot_ptr->device, &slot_ptr->rpc, &slot_ptr->libc};
-      auto result = ensemble::RunEnsemble(env, raw->options);
-      if (result.ok()) {
-        raw->run = std::move(*result);
-      } else {
-        raw->launch_error = true;
-        raw->error_detail = result.status().message();
-      }
-    });
-    in_flight_.emplace(raw->id, std::move(fl));
+    in_flight_.emplace(fl->id, std::move(fl));
     return true;
   }
   return false;
 }
 
 void Scheduler::ResolveInFlight() {
-  for (auto& [id, fl_ptr] : in_flight_) {
+  std::vector<InFlight*> started;
+  for (auto& [id, fl] : in_flight_) {
+    if (!fl->resolved) started.push_back(fl.get());
+  }
+  if (started.empty()) return;
+  // Launches started in one pass occupy distinct slots, so their
+  // simulations share no state. One launch runs on this thread.
+  const unsigned threads = config_.jobs == 0 ? DefaultThreads() : config_.jobs;
+  const Status simulated =
+      ParallelFor(started.size(), threads, [&](std::size_t i) {
+        InFlight& fl = *started[i];
+        DeviceSlot& slot = *slots_[fl.slot];
+        dgcf::AppEnv env{&slot.device, &slot.rpc, &slot.libc};
+        auto result = ensemble::RunEnsemble(env, fl.options);
+        if (result.ok()) {
+          fl.run = std::move(*result);
+        } else {
+          fl.launch_error = true;
+          fl.error_detail = result.status().message();
+        }
+      });
+  DGC_CHECK(simulated.ok());  // rejects only an empty range or null body
+  for (InFlight* fl_ptr : started) {
     InFlight& fl = *fl_ptr;
-    if (fl.resolved || !fl.future.valid()) continue;
-    fl.future.get();
     fl.resolved = true;
     fl.events_left = fl.jobs.size() + 1;
     const std::uint64_t duration =

@@ -7,11 +7,12 @@
 // ordered queue (cycle, kind, sequence). Launch durations come from the
 // simulator itself — a launch started at cycle T whose simulation reports
 // C cycles completes at T+C — so the loop is driven by completions, not by
-// wall-clock. Host threads only *accelerate* the simulations of launches
-// that are concurrently in flight on different device slots; every
-// scheduling decision happens on the loop thread at a deterministic
-// virtual time. Same seed + same job stream ⇒ byte-identical outcome log
-// and metrics sidecars for any --jobs value.
+// wall-clock. The loop thread simulates each launch; launches that start
+// in the same packing pass (on different device slots) may be simulated on
+// up to `jobs` host threads at once. Every scheduling decision happens on
+// the loop thread at a deterministic virtual time. Same seed + same job
+// stream ⇒ byte-identical outcome log and metrics sidecars for any --jobs
+// value.
 //
 // Robustness mechanisms (see docs/MODEL.md "Failure semantics"):
 //   admission   occupancy team cap + learned memory estimates (admission.h)
@@ -40,7 +41,6 @@
 #include "serve/queue.h"
 #include "gpusim/device_spec.h"
 #include "support/status.h"
-#include "support/thread_pool.h"
 
 namespace dgc::serve {
 
@@ -51,7 +51,8 @@ struct ServeConfig : ensemble::LaunchPolicy {
   std::uint32_t thread_limit = 128;
   std::uint32_t teams_per_block = 1;
   std::uint32_t devices = 1;       ///< independent device slots
-  unsigned jobs = 1;               ///< host worker threads (0 = hardware)
+  /// Host threads simulating launches started in one pass (0 = hardware).
+  unsigned jobs = 1;
   std::size_t queue_capacity = 16;
   AdmissionConfig admission;
   RetryPolicy retry;
@@ -197,7 +198,6 @@ class Scheduler {
   std::vector<std::unique_ptr<DeviceSlot>> slots_;
   /// Live launches by id: started and not yet retired (see InFlight).
   std::map<std::uint32_t, std::unique_ptr<InFlight>> in_flight_;
-  std::unique_ptr<ThreadPool> pool_;  ///< accelerates concurrent launches
   ServeReport tally_;                 ///< counters not derivable from records
 };
 

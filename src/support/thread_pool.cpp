@@ -3,55 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <utility>
+#include <thread>
+#include <vector>
 
 namespace dgc {
 
-unsigned ThreadPool::DefaultThreads() {
+unsigned DefaultThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
-}
-
-ThreadPool::ThreadPool(unsigned num_threads) {
-  if (num_threads == 0) num_threads = DefaultThreads();
-  workers_.reserve(num_threads);
-  for (unsigned i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();  // exceptions land in the task's future
-  }
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> job) {
-  DGC_CHECK(job != nullptr);
-  std::packaged_task<void()> task(std::move(job));
-  std::future<void> future = task.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-  return future;
 }
 
 Status ParallelFor(std::size_t count, unsigned threads,

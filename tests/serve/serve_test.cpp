@@ -555,6 +555,45 @@ TEST(Scheduler, OutcomeLogIsByteIdenticalAcrossJobsAndReplay) {
   EXPECT_EQ(serial, replay);
 }
 
+// Two tenants arriving at one cycle on two device slots: one packing pass
+// starts both launches, so ResolveInFlight simulates them together on up to
+// `jobs` threads. Their work is identical, so their completions also tie
+// on cycle and the log pins the order their events were pushed in.
+std::string RunSameCycleLaunches(unsigned jobs) {
+  ServeConfig config = BaseConfig();
+  config.jobs = jobs;
+  config.devices = 2;
+  std::ostringstream log;
+  config.log = &log;
+  Scheduler scheduler(std::move(config));
+  EXPECT_TRUE(scheduler.Init().ok());
+  scheduler.EnqueueStream({Req("serveprobe", {"-w", "4"}, 500),
+                           Req("servealt", {"-w", "4"}, 500)});
+  EXPECT_TRUE(scheduler.Run().ok());
+  EXPECT_EQ(scheduler.report().launches, 2u);
+  EXPECT_EQ(scheduler.report().succeeded, 2u);
+  EXPECT_EQ(scheduler.records()[0].finish_cycle,
+            scheduler.records()[1].finish_cycle);
+  scheduler.WriteReport();
+  return log.str();
+}
+
+TEST(Scheduler, SameCycleLaunchesFanOutWithIdenticalLog) {
+  const std::string serial = RunSameCycleLaunches(1);
+  std::vector<std::string> launches;
+  std::istringstream lines(serial);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(" launch ") != std::string::npos) launches.push_back(line);
+  }
+  ASSERT_EQ(launches.size(), 2u) << serial;
+  EXPECT_EQ(launches[0].substr(0, launches[0].find(' ')), "@500");
+  EXPECT_EQ(launches[1].substr(0, launches[1].find(' ')), "@500");
+  EXPECT_NE(launches[0].find("device=0"), std::string::npos);
+  EXPECT_NE(launches[1].find("device=1"), std::string::npos);
+  EXPECT_EQ(RunSameCycleLaunches(2), serial);
+  EXPECT_EQ(RunSameCycleLaunches(4), serial);
+}
+
 // ---------------------------------------------------------------------------
 // Loader support: per-instance watchdog budgets
 

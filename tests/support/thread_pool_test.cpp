@@ -1,5 +1,5 @@
-// Tests for the serve worker pool and the sweep runner's ParallelFor
-// (support/thread_pool.h).
+// Tests for ParallelFor, the host fan-out behind the sweep runner and the
+// serve scheduler (support/thread_pool.h).
 #include "support/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -9,38 +9,14 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace dgc {
 namespace {
 
 TEST(ThreadPool, DefaultThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::DefaultThreads(), 1u);
-}
-
-TEST(ThreadPool, ZeroRequestedThreadsFallsBackToDefault) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), ThreadPool::DefaultThreads());
-}
-
-TEST(ThreadPool, SubmitRunsJobAndCompletesFuture) {
-  ThreadPool pool(2);
-  std::atomic<int> value{0};
-  auto future = pool.Submit([&] { value = 42; });
-  future.get();
-  EXPECT_EQ(value, 42);
-}
-
-TEST(ThreadPool, SingleWorkerPreservesSubmissionOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.Submit([&order, i] { order.push_back(i); }));
-  }
-  for (std::future<void>& future : futures) future.get();
-  ASSERT_EQ(order.size(), 16u);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[std::size_t(i)], i);
+  EXPECT_GE(DefaultThreads(), 1u);
 }
 
 TEST(ThreadPool, FirstIndexExceptionPropagatesAfterAllJobsFinish) {
@@ -110,25 +86,22 @@ TEST(ThreadPool, ParallelForInlineModeThrowsAtFirstFailingIndex) {
   EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
-// --- Nested use (a sweep fanned out from inside a pool worker) -----------
+// --- Nested use (a sweep fanned out from inside another job's thread) ----
 
 TEST(ThreadPool, ParallelForFromInsidePoolWorkerCompletes) {
-  // The caller takes part in its own ParallelFor, so a call from the only
-  // worker of a pool can neither deadlock nor leave the caller idle.
-  ThreadPool pool(1);
+  // The caller takes part in its own ParallelFor, so a call from a helper
+  // thread of an outer ParallelFor neither deadlocks nor leaves it idle.
   std::atomic<int> hits{0};
-  auto outer = pool.Submit([&] {
-    const Status status =
-        ParallelFor(16, 4, [&](std::size_t) { hits.fetch_add(1); });
-    ASSERT_TRUE(status.ok()) << status.ToString();
-  });
-  outer.get();
+  ASSERT_TRUE(ParallelFor(2, 2, [&](std::size_t) {
+                const Status status = ParallelFor(
+                    8, 4, [&](std::size_t) { hits.fetch_add(1); });
+                ASSERT_TRUE(status.ok()) << status.ToString();
+              }).ok());
   EXPECT_EQ(hits.load(), 16);
 }
 
 TEST(ThreadPool, NestedParticipatingBatchesPropagateExceptions) {
-  ThreadPool pool(1);
-  auto outer = pool.Submit([&] {
+  std::thread outer([] {
     EXPECT_THROW(
         {
           (void)ParallelFor(2, 2, [](std::size_t i) {
@@ -137,7 +110,7 @@ TEST(ThreadPool, NestedParticipatingBatchesPropagateExceptions) {
         },
         std::runtime_error);
   });
-  outer.get();
+  outer.join();
 }
 
 }  // namespace

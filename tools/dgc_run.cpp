@@ -286,7 +286,7 @@ int main(int argc, char** argv) {
   std::int64_t memory_scale = 512;
   std::int64_t trace_capacity = 1 << 20;
   std::int64_t profile_interval = 0;
-  std::uint32_t jobs = ThreadPool::DefaultThreads();
+  std::uint32_t jobs = DefaultThreads();
   std::vector<std::uint32_t> sweep_counts;
   bool stats = false;
   bool memcheck_on = false;

@@ -59,8 +59,10 @@ int Usage(int code) {
       "  --device <d>           a100 (default), v100, or test\n"
       "  --memory-scale <n>     capacity scale divisor (default 512)\n"
       "  --devices <n>          independent device slots (default 1)\n"
-      "  --jobs <n>             host threads simulating concurrent launches\n"
-      "                         (default 1; any value, same output)\n\n"
+      "  --jobs <n>             the loop thread simulates each launch; up to\n"
+      "                         n threads share launches that start in the\n"
+      "                         same pass (default 1, 0 = all cores; any\n"
+      "                         value, same output)\n\n"
       "packing and admission:\n"
       "  -t <threads>           thread limit per job (default 128)\n"
       "  -m <count>             jobs per thread block (default 1)\n"
@@ -194,7 +196,7 @@ int main(int argc, char** argv) {
       .AddString("device", 0, "a100, v100, or test", &device_name)
       .AddInt("memory-scale", 0, "capacity scale divisor", &memory_scale)
       .AddInt("devices", 0, "independent device slots", &devices)
-      .AddInt("jobs", 0, "host threads for concurrent launches", &jobs)
+      .AddInt("jobs", 0, "threads for launches started together", &jobs)
       .AddInt("thread-limit", 't', "thread limit per job", &thread_limit)
       .AddInt("teams-per-block", 'm', "jobs per thread block",
               &teams_per_block)
