@@ -8,12 +8,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "apps/common.h"
 #include "ensemble/experiment.h"
 #include "gpusim/device_spec.h"
+#include "support/argparse.h"
 #include "support/str.h"
 #include "support/thread_pool.h"
 
@@ -24,26 +24,19 @@ namespace dgc::bench {
 /// fully serial run — output is identical either way). Exits on bad usage.
 inline std::uint32_t ParseJobsFlag(int argc, char** argv) {
   std::uint32_t jobs = DefaultThreads();
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      const auto value = ParseInt(argv[++i]);
-      if (!value.ok() || *value < 1) {
-        std::fprintf(stderr, "bad --jobs value '%s' (want a count >= 1)\n",
-                     argv[i]);
-        std::exit(2);
-      }
-      jobs = std::uint32_t(*value);
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf("usage: %s [--jobs N]\n"
-                  "  --jobs N  concurrent sweep points (default: %u, the\n"
-                  "            hardware thread count; 1 = serial)\n",
-                  argv[0], DefaultThreads());
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option '%s' (see --help)\n", argv[i]);
-      std::exit(2);
-    }
+  bool help = false;
+  ArgParser parser("Output is identical for every --jobs value.");
+  parser.AddInt("jobs", 0, "concurrent sweep points (1 = serial)", &jobs, 1)
+      .AddFlag("help", 'h', "print this help", &help);
+  const Status parsed = parser.Parse(argc - 1, argv + 1);
+  if (help) {
+    std::printf("%s", parser.Usage(argv[0]).c_str());
+    std::exit(0);
+  }
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n%s", parsed.ToString().c_str(),
+                 parser.Usage(argv[0]).c_str());
+    std::exit(2);
   }
   return jobs;
 }

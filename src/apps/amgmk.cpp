@@ -49,26 +49,16 @@ void HostRelax(const AmgData& data, const std::vector<double>& u_in,
 
 StatusOr<AmgParams> AmgParams::Parse(const std::vector<std::string>& args) {
   AmgParams p;
-  std::int64_t nx = p.nx, ny = p.ny, nz = p.nz, sweeps = p.sweeps;
   std::int64_t seed = std::int64_t(p.seed);
-  bool verbose = false;
   ArgParser parser("AMGmk: weighted-Jacobi relax on a 27-point Laplacian");
-  parser.AddInt("nx", 'x', "grid cells in x", &nx)
-      .AddInt("ny", 'y', "grid cells in y", &ny)
-      .AddInt("nz", 'z', "grid cells in z", &nz)
-      .AddInt("sweeps", 'w', "relaxation sweeps", &sweeps)
+  parser.AddInt("nx", 'x', "grid cells in x", &p.nx, 2)
+      .AddInt("ny", 'y', "grid cells in y", &p.ny, 2)
+      .AddInt("nz", 'z', "grid cells in z", &p.nz, 2)
+      .AddInt("sweeps", 'w', "relaxation sweeps", &p.sweeps, 1)
       .AddInt("seed", 's', "workload seed", &seed)
-      .AddFlag("verbose", 'v', "print results via device printf", &verbose);
+      .AddFlag("verbose", 'v', "print results via device printf", &p.verbose);
   DGC_RETURN_IF_ERROR(parser.Parse(args));
-  if (nx < 2 || ny < 2 || nz < 2 || sweeps < 1) {
-    return Status(ErrorCode::kInvalidArgument, "amgmk: sizes too small");
-  }
-  p.nx = std::uint32_t(nx);
-  p.ny = std::uint32_t(ny);
-  p.nz = std::uint32_t(nz);
-  p.sweeps = std::uint32_t(sweeps);
   p.seed = std::uint64_t(seed);
-  p.verbose = verbose;
   return p;
 }
 

@@ -47,27 +47,19 @@ void HostPropagate(const PrParams& params, const PrData& data,
 
 StatusOr<PrParams> PrParams::Parse(const std::vector<std::string>& args) {
   PrParams p;
-  std::int64_t nodes = p.n_nodes, degree = p.avg_degree, iters = p.iterations;
   std::int64_t seed = std::int64_t(p.seed);
-  double damping = p.damping;
-  bool verbose = false;
   ArgParser parser("Page-Rank: propagation step on a power-law graph");
-  parser.AddInt("nodes", 'g', "graph nodes", &nodes)
-      .AddInt("degree", 'd', "average in-degree", &degree)
-      .AddInt("iterations", 'k', "propagation steps", &iters)
-      .AddDouble("damping", 'a', "damping factor", &damping)
+  parser.AddInt("nodes", 'g', "graph nodes", &p.n_nodes, 2)
+      .AddInt("degree", 'd', "average in-degree", &p.avg_degree, 1)
+      .AddInt("iterations", 'k', "propagation steps", &p.iterations, 1)
+      .AddDouble("damping", 'a', "damping factor", &p.damping)
       .AddInt("seed", 's', "workload seed", &seed)
-      .AddFlag("verbose", 'v', "print results via device printf", &verbose);
+      .AddFlag("verbose", 'v', "print results via device printf", &p.verbose);
   DGC_RETURN_IF_ERROR(parser.Parse(args));
-  if (nodes < 2 || degree < 1 || iters < 1 || damping <= 0 || damping >= 1) {
+  if (p.damping <= 0 || p.damping >= 1) {
     return Status(ErrorCode::kInvalidArgument, "pagerank: bad parameters");
   }
-  p.n_nodes = std::uint32_t(nodes);
-  p.avg_degree = std::uint32_t(degree);
-  p.iterations = std::uint32_t(iters);
-  p.damping = damping;
   p.seed = std::uint64_t(seed);
-  p.verbose = verbose;
   return p;
 }
 

@@ -51,30 +51,17 @@ constexpr std::uint64_t kPoleCycles = 500;
 
 StatusOr<RsParams> RsParams::Parse(const std::vector<std::string>& args) {
   RsParams p;
-  std::int64_t nuclides = p.n_nuclides, windows = p.n_windows;
-  std::int64_t poles = p.poles_per_window, materials = p.n_materials;
-  std::int64_t lookups = p.n_lookups, seed = std::int64_t(p.seed);
-  bool verbose = false;
+  std::int64_t seed = std::int64_t(p.seed);
   ArgParser parser("RSBench: windowed-multipole XS lookup");
-  parser.AddInt("nuclides", 'u', "number of nuclides", &nuclides)
-      .AddInt("windows", 'w', "energy windows per nuclide", &windows)
-      .AddInt("poles", 'p', "poles per window", &poles)
-      .AddInt("materials", 'm', "number of materials", &materials)
-      .AddInt("lookups", 'l', "cross-section lookups", &lookups)
+  parser.AddInt("nuclides", 'u', "number of nuclides", &p.n_nuclides, 2)
+      .AddInt("windows", 'w', "energy windows per nuclide", &p.n_windows, 1)
+      .AddInt("poles", 'p', "poles per window", &p.poles_per_window, 1)
+      .AddInt("materials", 'm', "number of materials", &p.n_materials, 1)
+      .AddInt("lookups", 'l', "cross-section lookups", &p.n_lookups, 1)
       .AddInt("seed", 's', "workload seed", &seed)
-      .AddFlag("verbose", 'v', "print results via device printf", &verbose);
+      .AddFlag("verbose", 'v', "print results via device printf", &p.verbose);
   DGC_RETURN_IF_ERROR(parser.Parse(args));
-  if (nuclides < 2 || windows < 1 || poles < 1 || materials < 1 ||
-      lookups < 1) {
-    return Status(ErrorCode::kInvalidArgument, "rsbench: sizes too small");
-  }
-  p.n_nuclides = std::uint32_t(nuclides);
-  p.n_windows = std::uint32_t(windows);
-  p.poles_per_window = std::uint32_t(poles);
-  p.n_materials = std::uint32_t(materials);
-  p.n_lookups = std::uint32_t(lookups);
   p.seed = std::uint64_t(seed);
-  p.verbose = verbose;
   return p;
 }
 

@@ -48,33 +48,21 @@ StatusOr<XsGridType> ParseXsGridType(std::string_view name) {
 
 StatusOr<XsParams> XsParams::Parse(const std::vector<std::string>& args) {
   XsParams p;
-  std::int64_t isotopes = p.n_isotopes, grid = p.n_gridpoints;
-  std::int64_t materials = p.n_materials, lookups = p.n_lookups;
-  std::int64_t seed = std::int64_t(p.seed), hash_bins = p.hash_bins;
+  std::int64_t seed = std::int64_t(p.seed);
   std::string grid_type(ToString(p.grid_type));
-  bool verbose = false;
   ArgParser parser("XSBench: macroscopic XS lookup");
-  parser.AddInt("isotopes", 'i', "number of isotopes", &isotopes)
-      .AddInt("gridpoints", 'g', "energy gridpoints per isotope", &grid)
-      .AddInt("materials", 'm', "number of materials", &materials)
-      .AddInt("lookups", 'l', "cross-section lookups", &lookups)
+  parser.AddInt("isotopes", 'i', "number of isotopes", &p.n_isotopes, 2)
+      .AddInt("gridpoints", 'g', "energy gridpoints per isotope",
+              &p.n_gridpoints, 2)
+      .AddInt("materials", 'm', "number of materials", &p.n_materials, 1)
+      .AddInt("lookups", 'l', "cross-section lookups", &p.n_lookups, 1)
       .AddString("grid-type", 'G', "unionized | hash | nuclide", &grid_type)
-      .AddInt("hash-bins", 'H', "hash-grid bins", &hash_bins)
+      .AddInt("hash-bins", 'H', "hash-grid bins", &p.hash_bins, 1)
       .AddInt("seed", 's', "workload seed", &seed)
-      .AddFlag("verbose", 'v', "print results via device printf", &verbose);
+      .AddFlag("verbose", 'v', "print results via device printf", &p.verbose);
   DGC_RETURN_IF_ERROR(parser.Parse(args));
-  if (isotopes < 2 || grid < 2 || materials < 1 || lookups < 1 ||
-      hash_bins < 1) {
-    return Status(ErrorCode::kInvalidArgument, "xsbench: sizes too small");
-  }
-  p.n_isotopes = std::uint32_t(isotopes);
-  p.n_gridpoints = std::uint32_t(grid);
-  p.n_materials = std::uint32_t(materials);
-  p.n_lookups = std::uint32_t(lookups);
-  p.hash_bins = std::uint32_t(hash_bins);
   DGC_ASSIGN_OR_RETURN(p.grid_type, ParseXsGridType(grid_type));
   p.seed = std::uint64_t(seed);
-  p.verbose = verbose;
   return p;
 }
 

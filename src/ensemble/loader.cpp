@@ -12,7 +12,6 @@
 #include "gpusim/device.h"
 #include "gpusim/trace.h"
 #include "ompx/league.h"
-#include "support/argparse.h"
 #include "support/str.h"
 
 namespace dgc::ensemble {
@@ -52,18 +51,6 @@ class ScopedFaultPlan {
   Target* target_;
   sim::FaultPlan* previous_ = nullptr;
 };
-
-/// Narrows a parsed integer flag to its uint32 field: a value below `min`
-/// or above UINT32_MAX is a usage error, never a silent wrap.
-StatusOr<std::uint32_t> FlagU32(const char* flag, std::int64_t value,
-                                std::int64_t min) {
-  if (value < min || value > std::int64_t(UINT32_MAX)) {
-    return Status(ErrorCode::kInvalidArgument,
-                  StrFormat("%s must be in %lld..%u, got %lld", flag,
-                            (long long)min, UINT32_MAX, (long long)value));
-  }
-  return std::uint32_t(value);
-}
 
 }  // namespace
 
@@ -315,89 +302,65 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
   return run;
 }
 
-StatusOr<EnsembleCli> ParseEnsembleCli(const std::string& app,
-                                       const std::vector<std::string>& argv,
-                                       bool with_counts) {
-  std::string file;
-  std::int64_t instances = 0, threads = 1024, teams = 0, per_block = 1;
-  std::int64_t seed = 0;
-  bool script = false;
-  std::string inject;
-  std::int64_t watchdog = 0, instance_watchdog = 0;
-  std::int64_t retry = 1, retry_shrink = 2;
-  std::string share_data = "on";
-  ArgParser parser("GPU ensemble loader (paper Fig. 5c)");
-  parser.AddString("file", 'f', "command line arguments file", &file,
-                   /*required=*/true);
-  if (with_counts) {
-    parser
-        .AddInt("num-instances", 'n', "instances to launch simultaneously",
-                &instances)
-        .AddInt("teams", 0, "teams (default: one per instance)", &teams);
-  }
-  parser.AddInt("thread-limit", 't', "max threads per instance", &threads)
-      .AddInt("teams-per-block", 'm', "instances per thread block (§3.1)",
-              &per_block)
-      .AddFlag("script", 0, "treat the file as an argument script", &script)
-      .AddInt("seed", 0, "argument-script random seed", &seed)
-      .AddString("inject", 0, "deterministic fault-injection spec", &inject)
-      .AddInt("watchdog", 0, "launch cycle budget (0 = device default)",
-              &watchdog)
-      .AddInt("instance-watchdog", 0,
-              "per-instance cycle budget (0 = off)", &instance_watchdog)
-      .AddInt("retry", 0, "max launch attempts per failed instance",
-              &retry)
-      .AddInt("retry-shrink", 0, "team-cap divisor per retry wave",
-              &retry_shrink)
-      .AddString("share-data", 0,
-                 "share read-only input data across identical instances "
-                 "(on|off, default on)",
-                 &share_data);
-  DGC_RETURN_IF_ERROR(parser.Parse(argv));
-  if (share_data != "on" && share_data != "off") {
-    return Status(ErrorCode::kInvalidArgument,
-                  "--share-data must be 'on' or 'off'");
-  }
-  if (watchdog < 0 || instance_watchdog < 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "--watchdog/--instance-watchdog must be >= 0");
-  }
-
-  EnsembleCli cli;
+Status ParseEnsembleCli(const std::vector<std::string>& argv,
+                        ArgParser& parser, EnsembleCli& cli) {
   EnsembleOptions& options = cli.options;
-  options.app = app;
-  DGC_ASSIGN_OR_RETURN(options.num_instances, FlagU32("-n", instances, 0));
-  DGC_ASSIGN_OR_RETURN(options.thread_limit, FlagU32("-t", threads, 1));
-  DGC_ASSIGN_OR_RETURN(options.num_teams, FlagU32("--teams", teams, 0));
-  DGC_ASSIGN_OR_RETURN(options.teams_per_block, FlagU32("-m", per_block, 1));
-  DGC_ASSIGN_OR_RETURN(options.max_attempts, FlagU32("--retry", retry, 1));
-  DGC_ASSIGN_OR_RETURN(options.retry_shrink,
-                       FlagU32("--retry-shrink", retry_shrink, 0));
-  options.watchdog_cycles = std::uint64_t(watchdog);
-  options.instance_watchdog_cycles = std::uint64_t(instance_watchdog);
-  options.share_data = share_data == "on";
+  options.share_data = true;  // the CLI default; the library's is off
+  parser.AddString("file", 'f', "command line arguments file", &cli.file,
+                   /*required=*/true)
+      .AddInt("num-instances", 'n',
+              "instances to launch simultaneously (0 = one per line)",
+              &options.num_instances, 0)
+      .AddInt("teams", 0, "teams (0 = one per instance)", &options.num_teams,
+              0)
+      .AddInt("thread-limit", 't', "max threads per instance",
+              &options.thread_limit, 1)
+      .AddInt("teams-per-block", 'm', "instances per thread block (§3.1)",
+              &options.teams_per_block, 1)
+      .AddFlag("script", 0, "treat the file as an argument script",
+               &cli.script)
+      .AddInt("seed", 0, "argument-script random seed", &cli.seed)
+      .AddString("inject", 0,
+                 "deterministic fault-injection spec, e.g. "
+                 "'seed@7;malloc-fail@3;trap@b0.w1.c5000' (docs/MODEL.md, "
+                 "Failure semantics)",
+                 &cli.inject)
+      .AddInt("watchdog", 0, "launch cycle budget (0 = device default)",
+              &options.watchdog_cycles, 0)
+      .AddInt("instance-watchdog", 0, "per-instance cycle budget (0 = off)",
+              &options.instance_watchdog_cycles, 0)
+      .AddInt("retry", 0, "max launch attempts per failed instance",
+              &options.max_attempts, 1)
+      .AddInt("retry-shrink", 0, "team-cap divisor per retry wave",
+              &options.retry_shrink, 0)
+      .AddSwitch("share-data",
+                 "share read-only input data across identical instances "
+                 "(off = the paper's duplicated layout)",
+                 &options.share_data);
+  DGC_RETURN_IF_ERROR(parser.Parse(argv));
 
   // A bad --inject spec must fail before any work, the file read included.
-  if (auto plan = sim::FaultPlan::Parse(inject); !plan.ok()) {
+  if (auto plan = sim::FaultPlan::Parse(cli.inject); !plan.ok()) {
     return Status(ErrorCode::kInvalidArgument,
                   "bad --inject spec: " + plan.status().message() +
                       " (see docs/MODEL.md, Failure semantics)");
   }
-  cli.inject = inject;
 
-  if (script) {
-    std::ifstream in(file, std::ios::binary);
+  if (cli.script) {
+    std::ifstream in(cli.file, std::ios::binary);
     if (!in) {
-      return Status(ErrorCode::kNotFound, "cannot open script file: " + file);
+      return Status(ErrorCode::kNotFound,
+                    "cannot open script file: " + cli.file);
     }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    DGC_ASSIGN_OR_RETURN(options.instance_args,
-                         ExpandScriptToArgs(buffer.str(), std::uint64_t(seed)));
+    DGC_ASSIGN_OR_RETURN(
+        options.instance_args,
+        ExpandScriptToArgs(buffer.str(), std::uint64_t(cli.seed)));
   } else {
-    DGC_ASSIGN_OR_RETURN(options.instance_args, LoadArgumentFile(file));
+    DGC_ASSIGN_OR_RETURN(options.instance_args, LoadArgumentFile(cli.file));
   }
-  return cli;
+  return Status::Ok();
 }
 
 StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env, EnsembleCli cli) {
@@ -413,7 +376,10 @@ StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env, EnsembleCli cli) {
 StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
                                          const std::string& app,
                                          const std::vector<std::string>& argv) {
-  DGC_ASSIGN_OR_RETURN(EnsembleCli cli, ParseEnsembleCli(app, argv));
+  ArgParser parser("GPU ensemble loader (paper Fig. 5c)");
+  EnsembleCli cli;
+  cli.options.app = app;
+  DGC_RETURN_IF_ERROR(ParseEnsembleCli(argv, parser, cli));
   return RunEnsembleCli(env, std::move(cli));
 }
 

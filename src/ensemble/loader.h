@@ -21,6 +21,7 @@
 
 #include "dgcf/app.h"
 #include "dgcf/loader.h"
+#include "support/argparse.h"
 #include "support/status.h"
 
 namespace dgc::ensemble {
@@ -101,22 +102,27 @@ struct EnsembleOptions : LaunchPolicy {
 StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
                                       const EnsembleOptions& options);
 
-/// A parsed loader command line: the options with the argument lines
-/// loaded, plus the validated --inject spec ("" = none), kept as text so
-/// each run parses a fresh FaultPlan.
+/// A loader command line: the options with the argument lines loaded, plus
+/// the validated --inject spec ("" = none), kept as text so each run parses
+/// a fresh FaultPlan. `file`, `script` and `seed` say where the argument
+/// lines come from.
 struct EnsembleCli {
   EnsembleOptions options;
   std::string inject;
+  std::string file;        ///< -f: argument file (or script)
+  bool script = false;     ///< --script: `file` is an argument script
+  std::int64_t seed = 0;   ///< --seed: the script's random seed
 };
 
-/// Fig. 5c front end, parse step: `-f <file> -n <instances> -t <threads>`
-/// plus -m/--teams/--script/--seed, `--share-data on|off` (default on) and
-/// --inject/--watchdog/--instance-watchdog/--retry/--retry-shrink. Counts
-/// must fit their uint32 fields; flags are checked before the file is read.
-/// `with_counts = false` (sweep mode) leaves -n/--teams unregistered.
-StatusOr<EnsembleCli> ParseEnsembleCli(const std::string& app,
-                                       const std::vector<std::string>& argv,
-                                       bool with_counts = true);
+/// Fig. 5c front end, parse step: registers `-f <file> -n <instances>
+/// -t <threads>` plus -m/--teams/--script/--seed, `--share-data on|off`
+/// (default on) and --inject/--watchdog/--instance-watchdog/--retry/
+/// --retry-shrink on `parser`, bound to `cli`, and parses `argv` with it;
+/// a caller's own flags on `parser` are parsed in the same pass. Then it
+/// checks --inject and loads the argument lines (flags are checked before
+/// the file is read). `parser` keeps pointers into `cli`.
+Status ParseEnsembleCli(const std::vector<std::string>& argv,
+                        ArgParser& parser, EnsembleCli& cli);
 
 /// Run step: runs `cli.options` under a FaultPlan parsed from `cli.inject`.
 StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env, EnsembleCli cli);

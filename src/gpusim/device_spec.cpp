@@ -67,15 +67,9 @@ DeviceSpec DeviceSpec::TestDevice() {
 }
 
 StatusOr<DeviceSpec> DeviceSpec::FromName(std::string_view name,
-                                          std::int64_t memory_scale) {
-  if (memory_scale < 1 || memory_scale > std::int64_t(UINT32_MAX)) {
-    return Status(ErrorCode::kInvalidArgument,
-                  StrFormat("--memory-scale must be in 1..%u, got %lld",
-                            UINT32_MAX, (long long)memory_scale));
-  }
-  const std::uint32_t scale = std::uint32_t(memory_scale);
-  if (name == "a100") return A100_40GB(scale);
-  if (name == "v100") return V100_16GB(scale);
+                                          std::uint32_t memory_scale) {
+  if (name == "a100") return A100_40GB(memory_scale);
+  if (name == "v100") return V100_16GB(memory_scale);
   if (name == "test") return TestDevice();
   return Status(ErrorCode::kInvalidArgument, "unknown device '" +
                                                  std::string(name) +

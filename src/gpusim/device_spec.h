@@ -75,10 +75,10 @@ struct DeviceSpec {
   /// Tiny device for unit tests: 2 SMs, small caches, fast to simulate.
   static DeviceSpec TestDevice();
   /// The preset a front end names on its command line: "a100", "v100" or
-  /// "test" (which ignores the scale). kInvalidArgument for an unknown name
-  /// or a `memory_scale` outside 1..UINT32_MAX.
+  /// "test" (which ignores the scale); `memory_scale` must be >= 1.
+  /// kInvalidArgument for an unknown name.
   static StatusOr<DeviceSpec> FromName(std::string_view name,
-                                       std::int64_t memory_scale);
+                                       std::uint32_t memory_scale);
 
   /// Warps needed for `threads` threads.
   int WarpsPerBlock(int threads) const {

@@ -85,6 +85,17 @@ StatusOr<std::uint64_t> ParsePrefixed(std::string_view field, char prefix,
   return std::uint64_t(*v);
 }
 
+/// ParsePrefixed for a block or warp id, which must fit its uint32 field.
+StatusOr<std::uint32_t> ParseId(std::string_view field, char prefix,
+                                std::string_view clause) {
+  DGC_ASSIGN_OR_RETURN(const std::uint64_t id,
+                       ParsePrefixed(field, prefix, clause));
+  if (id > UINT32_MAX) {
+    return BadClause(clause, "block and warp ids must be at most 4294967295");
+  }
+  return std::uint32_t(id);
+}
+
 /// Parses the value of malloc-fail/rpc-fail: "p<pct>" or "n[,n...]".
 Status ParseFailList(std::string_view value, std::string_view clause,
                      std::vector<std::uint64_t>* ordinals, double* probability) {
@@ -136,13 +147,9 @@ StatusOr<FaultPlan> FaultPlan::Parse(std::string_view spec) {
         return BadClause(clause, "expected trap@b<B>.w<W>.c<C>");
       }
       TrapSite site;
-      DGC_ASSIGN_OR_RETURN(std::uint64_t b,
-                           ParsePrefixed(fields[0], 'b', clause));
-      DGC_ASSIGN_OR_RETURN(std::uint64_t w,
-                           ParsePrefixed(fields[1], 'w', clause));
+      DGC_ASSIGN_OR_RETURN(site.block, ParseId(fields[0], 'b', clause));
+      DGC_ASSIGN_OR_RETURN(site.warp, ParseId(fields[1], 'w', clause));
       DGC_ASSIGN_OR_RETURN(site.cycle, ParsePrefixed(fields[2], 'c', clause));
-      site.block = std::uint32_t(b);
-      site.warp = std::uint32_t(w);
       plan.traps.push_back(site);
     } else if (kind == "slow") {
       const auto fields = SplitChar(value, '.');
@@ -150,11 +157,9 @@ StatusOr<FaultPlan> FaultPlan::Parse(std::string_view spec) {
         return BadClause(clause, "expected slow@b<B>.x<F>");
       }
       Slowdown slow;
-      DGC_ASSIGN_OR_RETURN(std::uint64_t b,
-                           ParsePrefixed(fields[0], 'b', clause));
+      DGC_ASSIGN_OR_RETURN(slow.block, ParseId(fields[0], 'b', clause));
       DGC_ASSIGN_OR_RETURN(slow.factor, ParsePrefixed(fields[1], 'x', clause));
       if (slow.factor == 0) return BadClause(clause, "factor must be >= 1");
-      slow.block = std::uint32_t(b);
       plan.slowdowns.push_back(slow);
     } else {
       return BadClause(clause,

@@ -1,46 +1,170 @@
 #include "support/argparse.h"
 
+#include <algorithm>
+#include <charconv>
+#include <limits>
+#include <optional>
 #include <set>
 
 #include "support/str.h"
 
 namespace dgc {
 
+namespace {
+
+/// Usage() layout: option names in the first column, help text wrapped
+/// after it.
+constexpr std::size_t kHelpColumn = 33;
+constexpr std::size_t kLineWidth = 79;
+
+/// Parses `text` as an integer in `min`..`max`; an error names `flag`.
+StatusOr<std::uint64_t> ParseBoundedInt(std::string_view flag,
+                                        std::string_view text,
+                                        std::uint64_t min, std::uint64_t max) {
+  text = TrimWhitespace(text);
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ptr != end || ec == std::errc::invalid_argument) {
+    // Not plain digits: a signed integer ("-1", "+5") or not a number.
+    DGC_ASSIGN_OR_RETURN(const std::int64_t signed_value, ParseInt(text));
+    ec = signed_value < 0 ? std::errc::result_out_of_range : std::errc();
+    value = std::uint64_t(signed_value);
+  }
+  if (ec != std::errc() || value < min || value > max) {
+    return Status(ErrorCode::kInvalidArgument,
+                  StrFormat("%.*s must be in %llu..%llu, got %.*s",
+                            int(flag.size()), flag.data(),
+                            (unsigned long long)min, (unsigned long long)max,
+                            int(text.size()), text.data()));
+  }
+  return value;
+}
+
+}  // namespace
+
 ArgParser::ArgParser(std::string program_description)
     : description_(std::move(program_description)) {}
+
+ArgParser& ArgParser::Add(Option option) {
+  options_.push_back(std::move(option));
+  return *this;
+}
 
 ArgParser& ArgParser::AddString(std::string long_name, char short_name,
                                 std::string help, std::string* out,
                                 bool required) {
   DGC_CHECK(out != nullptr);
-  options_.push_back({std::move(long_name), short_name, std::move(help),
-                      Kind::kString, required, out, nullptr, nullptr, nullptr});
-  return *this;
+  return Add({std::move(long_name), short_name, std::move(help), "<str>",
+              out->empty() ? "none" : *out, required,
+              [out](std::string_view, std::string_view value) {
+                *out = std::string(value);
+                return Status::Ok();
+              }});
 }
 
 ArgParser& ArgParser::AddInt(std::string long_name, char short_name,
                              std::string help, std::int64_t* out,
                              bool required) {
   DGC_CHECK(out != nullptr);
-  options_.push_back({std::move(long_name), short_name, std::move(help),
-                      Kind::kInt, required, nullptr, out, nullptr, nullptr});
-  return *this;
+  return Add({std::move(long_name), short_name, std::move(help), "<n>",
+              std::to_string(*out), required,
+              [out](std::string_view, std::string_view value) -> Status {
+                DGC_ASSIGN_OR_RETURN(*out, ParseInt(value));
+                return Status::Ok();
+              }});
+}
+
+template <typename T>
+ArgParser& ArgParser::AddUnsigned(std::string long_name, char short_name,
+                                  std::string help, T* out, T min) {
+  DGC_CHECK(out != nullptr);
+  return Add({std::move(long_name), short_name, std::move(help), "<n>",
+              std::to_string(*out), false,
+              [out, min](std::string_view spelled,
+                         std::string_view value) -> Status {
+                DGC_ASSIGN_OR_RETURN(
+                    const std::uint64_t v,
+                    ParseBoundedInt(spelled, value, min,
+                                    std::numeric_limits<T>::max()));
+                *out = T(v);
+                return Status::Ok();
+              }});
+}
+
+ArgParser& ArgParser::AddInt(std::string long_name, char short_name,
+                             std::string help, std::uint32_t* out,
+                             std::uint32_t min) {
+  return AddUnsigned(std::move(long_name), short_name, std::move(help), out,
+                     min);
+}
+
+ArgParser& ArgParser::AddInt(std::string long_name, char short_name,
+                             std::string help, std::uint64_t* out,
+                             std::uint64_t min) {
+  return AddUnsigned(std::move(long_name), short_name, std::move(help), out,
+                     min);
+}
+
+ArgParser& ArgParser::AddIntList(std::string long_name, std::string help,
+                                 std::vector<std::uint32_t>* out,
+                                 std::uint32_t min) {
+  DGC_CHECK(out != nullptr);
+  std::string default_text;
+  for (std::uint32_t v : *out) {
+    default_text += (default_text.empty() ? "" : ",") + std::to_string(v);
+  }
+  return Add({std::move(long_name), 0, std::move(help), "<n,n,...>",
+              default_text.empty() ? "none" : default_text, false,
+              [out, min](std::string_view spelled,
+                         std::string_view value) -> Status {
+                out->clear();
+                for (std::string_view part : SplitChar(value, ',')) {
+                  DGC_ASSIGN_OR_RETURN(
+                      const std::uint64_t v,
+                      ParseBoundedInt(spelled, part, min, UINT32_MAX));
+                  out->push_back(std::uint32_t(v));
+                }
+                return Status::Ok();
+              }});
 }
 
 ArgParser& ArgParser::AddDouble(std::string long_name, char short_name,
                                 std::string help, double* out, bool required) {
   DGC_CHECK(out != nullptr);
-  options_.push_back({std::move(long_name), short_name, std::move(help),
-                      Kind::kDouble, required, nullptr, nullptr, out, nullptr});
-  return *this;
+  return Add({std::move(long_name), short_name, std::move(help), "<x>",
+              StrFormat("%g", *out), required,
+              [out](std::string_view, std::string_view value) -> Status {
+                DGC_ASSIGN_OR_RETURN(*out, ParseDouble(value));
+                return Status::Ok();
+              }});
 }
 
 ArgParser& ArgParser::AddFlag(std::string long_name, char short_name,
                               std::string help, bool* out) {
   DGC_CHECK(out != nullptr);
-  options_.push_back({std::move(long_name), short_name, std::move(help),
-                      Kind::kFlag, false, nullptr, nullptr, nullptr, out});
-  return *this;
+  return Add({std::move(long_name), short_name, std::move(help), "",
+              *out ? "on" : "off", false,
+              [out](std::string_view, std::string_view) {
+                *out = true;
+                return Status::Ok();
+              }});
+}
+
+ArgParser& ArgParser::AddSwitch(std::string long_name, std::string help,
+                                bool* out) {
+  DGC_CHECK(out != nullptr);
+  return Add({std::move(long_name), 0, std::move(help), "<on|off>",
+              *out ? "on" : "off", false,
+              [out](std::string_view spelled, std::string_view value) {
+                if (value != "on" && value != "off") {
+                  return Status(ErrorCode::kInvalidArgument,
+                                std::string(spelled) +
+                                    " must be 'on' or 'off'");
+                }
+                *out = value == "on";
+                return Status::Ok();
+              }});
 }
 
 const ArgParser::Option* ArgParser::Find(std::string_view long_name,
@@ -50,26 +174,6 @@ const ArgParser::Option* ArgParser::Find(std::string_view long_name,
     if (short_name != 0 && opt.short_name == short_name) return &opt;
   }
   return nullptr;
-}
-
-Status ArgParser::Apply(const Option& opt, std::string_view value) {
-  switch (opt.kind) {
-    case Kind::kString:
-      *opt.str_out = std::string(value);
-      return Status::Ok();
-    case Kind::kInt: {
-      DGC_ASSIGN_OR_RETURN(*opt.int_out, ParseInt(value));
-      return Status::Ok();
-    }
-    case Kind::kDouble: {
-      DGC_ASSIGN_OR_RETURN(*opt.dbl_out, ParseDouble(value));
-      return Status::Ok();
-    }
-    case Kind::kFlag:
-      *opt.flag_out = true;
-      return Status::Ok();
-  }
-  return Status(ErrorCode::kInternal, "unknown option kind");
 }
 
 Status ArgParser::Parse(int argc, const char* const* argv) const {
@@ -96,50 +200,39 @@ Status ArgParser::Parse(const std::vector<std::string>& args) const {
     }
 
     const Option* opt = nullptr;
+    std::string_view spelled;  // the flag as written, without its value
     std::optional<std::string> inline_value;
     if (StartsWith(arg, "--")) {
-      std::string_view body = std::string_view(arg).substr(2);
-      const std::size_t eq = body.find('=');
+      spelled = arg;
+      const std::size_t eq = spelled.find('=');
       if (eq != std::string_view::npos) {
-        inline_value = std::string(body.substr(eq + 1));
-        body = body.substr(0, eq);
+        inline_value = arg.substr(eq + 1);
+        spelled = spelled.substr(0, eq);
       }
-      opt = Find(body, 0);
-      if (opt == nullptr) {
-        return Status(ErrorCode::kInvalidArgument, "unknown option: " + arg);
-      }
+      opt = Find(spelled.substr(2), 0);
     } else {
-      if (arg.size() < 2) {
-        return Status(ErrorCode::kInvalidArgument, "malformed option: " + arg);
-      }
+      spelled = std::string_view(arg).substr(0, 2);
       opt = Find({}, arg[1]);
-      if (opt == nullptr) {
-        return Status(ErrorCode::kInvalidArgument, "unknown option: " + arg);
-      }
       if (arg.size() > 2) inline_value = arg.substr(2);  // -n4 style
     }
+    if (opt == nullptr) {
+      return Status(ErrorCode::kInvalidArgument, "unknown option: " + arg);
+    }
 
-    if (opt->kind == Kind::kFlag) {
+    if (opt->value_name.empty()) {
       if (inline_value.has_value()) {
         return Status(ErrorCode::kInvalidArgument,
                       "flag does not take a value: " + arg);
       }
-      *opt->flag_out = true;
-      seen.insert(opt);
-      continue;
-    }
-
-    std::string value;
-    if (inline_value.has_value()) {
-      value = *inline_value;
-    } else {
+      inline_value.emplace();
+    } else if (!inline_value.has_value()) {
       if (i + 1 >= args.size()) {
         return Status(ErrorCode::kInvalidArgument,
                       "option requires a value: " + arg);
       }
-      value = args[++i];
+      inline_value = args[++i];
     }
-    DGC_RETURN_IF_ERROR(Apply(*opt, value));
+    DGC_RETURN_IF_ERROR(opt->set(spelled, *inline_value));
     seen.insert(opt);
   }
 
@@ -161,19 +254,31 @@ Status ArgParser::Parse(const std::vector<std::string>& args) const {
 }
 
 std::string ArgParser::Usage(std::string_view program_name) const {
-  std::string out = StrFormat("usage: %.*s [options]\n",
-                              int(program_name.size()), program_name.data());
+  std::string out = "usage: " + std::string(program_name) + " [options]\n";
   if (!description_.empty()) out += description_ + "\n";
   for (const Option& opt : options_) {
-    std::string names;
-    if (opt.short_name != 0) names += StrFormat("-%c", opt.short_name);
-    if (!opt.long_name.empty()) {
-      if (!names.empty()) names += ", ";
-      names += "--" + opt.long_name;
+    std::string line = "  ";
+    if (opt.short_name != 0) line += StrFormat("-%c", opt.short_name);
+    if (opt.short_name != 0 && !opt.long_name.empty()) line += ", ";
+    if (!opt.long_name.empty()) line += "--" + opt.long_name;
+    if (!opt.value_name.empty()) line += " " + opt.value_name;
+    if (line.size() >= kHelpColumn) {
+      out += line + "\n";
+      line.clear();
     }
-    if (opt.kind != Kind::kFlag) names += " <value>";
-    out += StrFormat("  %-28s %s%s\n", names.c_str(), opt.help.c_str(),
-                     opt.required ? " (required)" : "");
+    const std::string help =
+        opt.help + (opt.required ? " (required)"
+                                 : " (default " + opt.default_text + ")");
+    for (std::string_view word : SplitChar(help, ' ')) {
+      if (line.size() >= kHelpColumn &&
+          line.size() + 1 + word.size() > kLineWidth) {
+        out += line + "\n";
+        line.clear();
+      }
+      line.resize(std::max(line.size(), kHelpColumn - 1), ' ');
+      (line += ' ') += word;
+    }
+    out += line + "\n";
   }
   return out;
 }

@@ -40,11 +40,20 @@ class LogMessage {
   LogLevel level_;
   std::ostringstream stream_;
 };
+
+/// Lets DGC_LOG end in a void expression: `&` binds looser than `<<`, so it
+/// takes the finished message chain.
+struct Voidify {
+  void operator&(const LogMessage&) const {}
+};
 }  // namespace detail
 
-#define DGC_LOG(level)                                            \
-  if (::dgc::LogLevel::level < ::dgc::GetLogLevel()) {            \
-  } else                                                          \
-    ::dgc::detail::LogMessage(::dgc::LogLevel::level)
+/// `DGC_LOG(kError) << ...;` is one expression, so it nests in an unbraced
+/// if/else like any statement. A filtered message evaluates no operand.
+#define DGC_LOG(level)                                    \
+  (::dgc::LogLevel::level < ::dgc::GetLogLevel())         \
+      ? (void)0                                           \
+      : ::dgc::detail::Voidify() &                        \
+            ::dgc::detail::LogMessage(::dgc::LogLevel::level)
 
 }  // namespace dgc

@@ -3,6 +3,8 @@
 // several thread limits, and packed into ensembles.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "apps/amgmk.h"
 #include "apps/common.h"
 #include "apps/pagerank.h"
@@ -430,6 +432,39 @@ TEST(AppParams, PrDefaultsAndRejections) {
   EXPECT_FALSE(PrParams::Parse({"-a", "1.5"}).ok());
   EXPECT_FALSE(PrParams::Parse({"-a", "0"}).ok());
   EXPECT_FALSE(PrParams::Parse({"-d", "0"}).ok());
+}
+
+// Every size flag bounds its uint32 field: 2^32 is a usage error naming the
+// flag, both from Params::Parse and as the instance's exit code (it once
+// wrapped to 0 or 2 and ran).
+TEST_F(AppsTest, SizeFlagsPastUint32AreUsageErrors) {
+  struct Case {
+    const char* app;
+    std::vector<const char*> flags;
+    std::function<Status(const std::vector<std::string>&)> parse;
+  };
+  const std::vector<Case> cases = {
+      {"xsbench", {"-i", "-g", "-m", "-l", "-H"},
+       [](const auto& a) { return XsParams::Parse(a).status(); }},
+      {"rsbench", {"-u", "-w", "-p", "-m", "-l"},
+       [](const auto& a) { return RsParams::Parse(a).status(); }},
+      {"amgmk", {"-x", "-y", "-z", "-w"},
+       [](const auto& a) { return AmgParams::Parse(a).status(); }},
+      {"pagerank", {"-g", "-d", "-k"},
+       [](const auto& a) { return PrParams::Parse(a).status(); }},
+  };
+  for (const Case& c : cases) {
+    for (const char* flag : c.flags) {
+      const std::vector<std::string> args = {flag, "4294967296"};
+      const Status s = c.parse(args);
+      EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument) << c.app << " " << flag;
+      EXPECT_NE(s.message().find(std::string(flag) + " must be in "),
+                std::string::npos)
+          << c.app << " " << flag << ": " << s.message();
+      EXPECT_EQ(RunSingle(c.app, args), dgcf::kExitUsage)
+          << c.app << " " << flag;
+    }
+  }
 }
 
 // --- Workload generation properties --------------------------------------------

@@ -60,6 +60,12 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_FALSE(FaultPlan::Parse("trap@w0.b0.c0").ok());
   EXPECT_FALSE(FaultPlan::Parse("slow@b0").ok());
   EXPECT_FALSE(FaultPlan::Parse("rpc-fail@p200").ok());
+  // Block and warp ids fill uint32 fields: past UINT32_MAX they would wrap
+  // onto block/warp 0.
+  EXPECT_TRUE(FaultPlan::Parse("trap@b4294967295.w4294967295.c1").ok());
+  EXPECT_FALSE(FaultPlan::Parse("trap@b4294967296.w0.c100").ok());
+  EXPECT_FALSE(FaultPlan::Parse("trap@b0.w4294967296.c100").ok());
+  EXPECT_FALSE(FaultPlan::Parse("slow@b4294967296.x2").ok());
 }
 
 TEST(FaultPlan, CountBasedMallocFailuresFireOnceEach) {

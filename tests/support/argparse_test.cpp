@@ -117,6 +117,97 @@ TEST(ArgParser, LastOccurrenceWins) {
   EXPECT_EQ(f.file, "b");
 }
 
+TEST(ArgParser, BoundedIntsNameTheFlagAsSpelled) {
+  std::uint32_t threads = 1024;
+  std::uint64_t budget = 0;
+  ArgParser p;
+  p.AddInt("thread-limit", 't', "threads", &threads, 1)
+      .AddInt("watchdog", 0, "cycles", &budget, 0);
+  ASSERT_TRUE(p.Parse({"-t", "4294967295", "--watchdog=18446744073709551615"})
+                  .ok());
+  EXPECT_EQ(threads, 4294967295u);
+  EXPECT_EQ(budget, 18446744073709551615ull);
+  EXPECT_EQ(p.Parse({"-t", "4294967328"}).message(),
+            "-t must be in 1..4294967295, got 4294967328");
+  EXPECT_EQ(p.Parse({"--thread-limit=0"}).message(),
+            "--thread-limit must be in 1..4294967295, got 0");
+  EXPECT_EQ(p.Parse({"-t-5"}).message(),
+            "-t must be in 1..4294967295, got -5");
+  EXPECT_EQ(p.Parse({"--watchdog", "18446744073709551616"}).message(),
+            "--watchdog must be in 0..18446744073709551615, got "
+            "18446744073709551616");
+  EXPECT_FALSE(p.Parse({"-t", "four"}).ok());
+  EXPECT_FALSE(p.Parse({"-t", ""}).ok());
+  EXPECT_EQ(threads, 4294967295u);  // failed parses left the field alone
+}
+
+TEST(ArgParser, IntListBoundsEachValue) {
+  std::vector<std::uint32_t> counts;
+  ArgParser p;
+  p.AddIntList("sweep", "instance counts", &counts, 1);
+  ASSERT_TRUE(p.Parse({"--sweep", "1,2,4"}).ok());
+  EXPECT_EQ(counts, (std::vector<std::uint32_t>{1, 2, 4}));
+  EXPECT_EQ(p.Parse({"--sweep", "1,4294967296"}).message(),
+            "--sweep must be in 1..4294967295, got 4294967296");
+  EXPECT_EQ(p.Parse({"--sweep=0"}).message(),
+            "--sweep must be in 1..4294967295, got 0");
+  EXPECT_FALSE(p.Parse({"--sweep", ""}).ok());
+  EXPECT_FALSE(p.Parse({"--sweep", "1,,2"}).ok());
+}
+
+TEST(ArgParser, SwitchTakesOnOrOff) {
+  bool share = true;
+  ArgParser p;
+  p.AddSwitch("share-data", "share inputs", &share);
+  ASSERT_TRUE(p.Parse({"--share-data", "off"}).ok());
+  EXPECT_FALSE(share);
+  ASSERT_TRUE(p.Parse({"--share-data=on"}).ok());
+  EXPECT_TRUE(share);
+  EXPECT_EQ(p.Parse({"--share-data", "yes"}).message(),
+            "--share-data must be 'on' or 'off'");
+}
+
+TEST(ArgParser, UsageShowsEachDefault) {
+  std::string device = "a100", log;
+  std::uint32_t scale = 512;
+  std::int64_t seed = -3;
+  double headroom = 90;
+  bool stats = false, share = true;
+  ArgParser p("demo tool");
+  p.AddString("device", 0, "device preset", &device)
+      .AddString("log", 0, "log path", &log)
+      .AddInt("memory-scale", 'm', "scale divisor", &scale, 1)
+      .AddInt("seed", 0, "seed", &seed)
+      .AddDouble("headroom", 0, "percent", &headroom)
+      .AddFlag("stats", 0, "print stats", &stats)
+      .AddSwitch("share-data", "share inputs", &share);
+  scale = 7;  // defaults are read at registration
+  const std::string usage = p.Usage("demo");
+  EXPECT_NE(usage.find("usage: demo [options]\ndemo tool\n"),
+            std::string::npos);
+  EXPECT_NE(usage.find("device preset (default a100)"), std::string::npos);
+  EXPECT_NE(usage.find("log path (default none)"), std::string::npos);
+  EXPECT_NE(usage.find("-m, --memory-scale <n>"), std::string::npos);
+  EXPECT_NE(usage.find("scale divisor (default 512)"), std::string::npos);
+  EXPECT_NE(usage.find("seed (default -3)"), std::string::npos);
+  EXPECT_NE(usage.find("percent (default 90)"), std::string::npos);
+  EXPECT_NE(usage.find("print stats (default off)"), std::string::npos);
+  EXPECT_NE(usage.find("--share-data <on|off>"), std::string::npos);
+  EXPECT_NE(usage.find("share inputs (default on)"), std::string::npos);
+}
+
+TEST(ArgParser, UsageWrapsLongHelp) {
+  bool flag = false;
+  ArgParser p;
+  p.AddFlag("long", 0, std::string(30, 'a') + " " + std::string(30, 'b'),
+            &flag);
+  const std::string usage = p.Usage("demo");
+  EXPECT_NE(usage.find(std::string(30, 'a') + "\n" + std::string(33, ' ') +
+                       std::string(30, 'b')),
+            std::string::npos)
+      << usage;
+}
+
 TEST(ArgParser, UsageMentionsOptions) {
   LoaderFlags f;
   auto p = MakeLoaderParser(f);

@@ -21,6 +21,7 @@
 #include "gpusim/memcheck.h"
 #include "gpusim/profiler.h"
 #include "gpusim/trace.h"
+#include "support/argparse.h"
 #include "support/str.h"
 #include "support/thread_pool.h"
 #include "support/units.h"
@@ -135,18 +136,35 @@ void PrintProfile(const dgcf::RunResult& run, const sim::Profiler& profiler) {
               peak_dram, peak_l2);
 }
 
+/// dgc-run's own flags; the loader's are bound to ensemble::EnsembleCli.
+struct ToolFlags {
+  bool help = false;
+  bool list = false;
+  std::string device = "a100";
+  std::uint32_t memory_scale = 512;
+  bool stats = false;
+  bool memcheck = false;
+  std::string trace_path;
+  std::uint64_t trace_capacity = 1 << 20;
+  bool profile = false;
+  std::string metrics_path;
+  std::uint64_t profile_interval = sim::Profiler::Options{}.sample_interval;
+  std::vector<std::uint32_t> sweep;  ///< instance counts; empty = one run
+  std::string csv_path;
+  std::uint32_t jobs = DefaultThreads();
+};
+
 /// --sweep mode: the Fig. 6 methodology from the command line. Runs the app
 /// at each instance count (first must be 1 — it defines T1) on a fresh
-/// device per point, `jobs` points concurrently, and prints the paper-style
-/// speedup table. Output is identical for every job count.
-int RunSweepMode(const std::string& app, const ensemble::EnsembleCli& cli,
-                 const std::vector<std::uint32_t>& counts, std::uint32_t jobs,
-                 const std::string& csv_path, const sim::DeviceSpec& spec,
-                 bool profile, const std::string& metrics_prefix,
-                 std::uint64_t profile_interval) {
+/// device per point, `flags.jobs` points concurrently, and prints the
+/// paper-style speedup table. Output is identical for every job count.
+int RunSweepMode(const ensemble::EnsembleCli& cli, const ToolFlags& flags,
+                 const sim::DeviceSpec& spec) {
+  const std::string& app = cli.options.app;
+  const std::string& metrics_prefix = flags.metrics_path;
   const auto& lines = cli.options.instance_args;
   std::uint32_t max_count = 0;
-  for (std::uint32_t n : counts) max_count = std::max(max_count, n);
+  for (std::uint32_t n : flags.sweep) max_count = std::max(max_count, n);
   if (max_count > lines.size()) {
     std::fprintf(stderr,
                  "dgc-run: --sweep needs %u argument lines but the argument "
@@ -159,16 +177,16 @@ int RunSweepMode(const std::string& app, const ensemble::EnsembleCli& cli,
   static_cast<ensemble::LaunchPolicy&>(cfg) = cli.options;
   cfg.app = app;
   cfg.args_for_instance = [lines](std::uint32_t i) { return lines[i]; };
-  cfg.instance_counts = counts;
+  cfg.instance_counts = flags.sweep;
   cfg.thread_limit = cli.options.thread_limit;
   cfg.teams_per_block = cli.options.teams_per_block;
   cfg.spec = spec;
   cfg.inject_spec = cli.inject;  // parsed fresh per point (determinism)
-  cfg.profile = profile || !metrics_prefix.empty();
-  cfg.profile_interval = profile_interval;
+  cfg.profile = flags.profile || !metrics_prefix.empty();
+  cfg.profile_interval = flags.profile_interval;
 
   ensemble::SweepOptions options;
-  options.jobs = jobs;
+  options.jobs = flags.jobs;
   options.progress = [](const ensemble::SweepPointEvent& e) {
     if (e.kind == ensemble::SweepPointEvent::Kind::kFinished) {
       std::fprintf(stderr, "[sweep] n=%u %s in %.2fs (%zu/%zu finished)\n",
@@ -190,13 +208,13 @@ int RunSweepMode(const std::string& app, const ensemble::EnsembleCli& cli,
       std::printf("n=%u skipped: %s\n", p.instances, p.note.c_str());
     }
   }
-  if (!csv_path.empty()) {
-    const Status s = ensemble::WriteSpeedupCsv({*series}, csv_path);
+  if (!flags.csv_path.empty()) {
+    const Status s = ensemble::WriteSpeedupCsv({*series}, flags.csv_path);
     if (!s.ok()) {
       std::fprintf(stderr, "csv export failed: %s\n", s.ToString().c_str());
       return 2;
     }
-    std::printf("csv written: %s\n", csv_path.c_str());
+    std::printf("csv written: %s\n", flags.csv_path.c_str());
   }
   if (!metrics_prefix.empty()) {
     // One sidecar per measured point. The documents come straight from the
@@ -223,192 +241,124 @@ int RunSweepMode(const std::string& app, const ensemble::EnsembleCli& cli,
 int main(int argc, char** argv) {
   apps::RegisterAllApps();
 
+  // The app name comes first; every other argument is an option.
   std::vector<std::string> args(argv + 1, argv + argc);
-  if (args.empty() || args[0] == "--help" || args[0] == "-h") {
-    std::printf(
-        "usage: dgc-run <app> [options]          run an ensemble (Fig. 5c)\n"
-        "       dgc-run --list                   list registered apps\n\n"
-        "options forwarded to the ensemble loader:\n"
-        "  -f <file>      command line arguments file (required)\n"
-        "  -n <count>     instances to launch simultaneously\n"
-        "  -t <threads>   thread limit per instance (default 1024)\n"
-        "  -m <count>     instances per thread block (default 1)\n"
-        "  --teams <n>    teams (default: one per instance)\n"
-        "  --script       treat -f file as an argument script\n"
-        "  --seed <n>     argument-script random seed\n"
-        "  --inject <spec>  deterministic fault injection, e.g.\n"
-        "                 'seed@7;malloc-fail@3;trap@b0.w1.c5000' (see\n"
-        "                 docs/MODEL.md, Failure semantics)\n"
-        "  --watchdog <cycles>  launch cycle budget; still-running lanes\n"
-        "                 trap when it expires (0 = device default)\n"
-        "  --instance-watchdog <cycles>  per-instance budget (0 = off)\n"
-        "  --retry <n>    max launch attempts per failed instance\n"
-        "                 (default 1 = no retry)\n"
-        "  --retry-shrink <n>  divide the team cap by <n> each retry wave\n"
-        "                 (default 2)\n"
-        "  --share-data <on|off>  share read-only input segments across\n"
-        "                 instances with identical workloads (default on;\n"
-        "                 off reproduces the duplicated per-instance layout)\n\n"
-        "tool options (must precede the loader options):\n"
-        "  --device <d>   a100 (default), v100, or test\n"
-        "  --memory-scale <n>  capacity scale divisor (default 512)\n"
-        "  --stats        print simulator statistics\n"
-        "  --memcheck     run the shadow-memory sanitizer; findings are\n"
-        "                 reported and make the run exit nonzero\n"
-        "  --trace <path> write a chrome://tracing JSON of the kernel\n"
-        "  --trace-capacity <n>  max trace events kept (default 1048576);\n"
-        "                 overflow is dropped and reported\n"
-        "  --profile      per-instance counter attribution + utilization\n"
-        "                 timeline, printed as a table\n"
-        "  --metrics-json <path>  write the dgc-metrics-v1 JSON document\n"
-        "                 (implies profiling); with --sweep, <path> is a\n"
-        "                 prefix — one <path>.n<count>.json per point\n"
-        "  --profile-interval <cycles>  timeline sample interval\n"
-        "                 (default 8192)\n"
-        "  --sweep <n1,n2,...>  Fig. 6 mode: measure speedup at each\n"
-        "                 instance count (first must be 1) instead of one\n"
-        "                 run; prints the paper-style table\n"
-        "  --csv <path>   with --sweep: also export the series as CSV\n"
-        "  --jobs <n>     with --sweep: concurrent sweep points (default:\n"
-        "                 hardware threads; 1 = serial, same output)\n");
-    return args.empty() ? 2 : 0;
-  }
-  if (args[0] == "--list") return ListApps();
-
-  const std::string app = args[0];
-  args.erase(args.begin());
-
-  // Split off tool options (anything before the first loader flag we know).
-  std::string device_name = "a100";
-  std::string trace_path;
-  std::string csv_path;
-  std::string metrics_path;
-  std::int64_t memory_scale = 512;
-  std::int64_t trace_capacity = 1 << 20;
-  std::int64_t profile_interval = 0;
-  std::uint32_t jobs = DefaultThreads();
-  std::vector<std::uint32_t> sweep_counts;
-  bool stats = false;
-  bool memcheck_on = false;
-  bool profile = false;
-  std::vector<std::string> loader_args;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--device" && i + 1 < args.size()) {
-      device_name = args[++i];
-    } else if (args[i] == "--trace" && i + 1 < args.size()) {
-      trace_path = args[++i];
-    } else if (args[i] == "--trace-capacity" && i + 1 < args.size()) {
-      auto v = ParseInt(args[++i]);
-      if (!v.ok() || *v <= 0) {
-        std::fprintf(stderr, "bad --trace-capacity\n");
-        return 2;
-      }
-      trace_capacity = *v;
-    } else if (args[i] == "--memory-scale" && i + 1 < args.size()) {
-      auto v = ParseInt(args[++i]);
-      if (!v.ok()) {
-        std::fprintf(stderr, "bad --memory-scale\n");
-        return 2;
-      }
-      memory_scale = *v;
-    } else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      auto v = ParseInt(args[++i]);
-      if (!v.ok() || *v < 1) {
-        std::fprintf(stderr, "bad --jobs (want a count >= 1)\n");
-        return 2;
-      }
-      jobs = std::uint32_t(*v);
-    } else if (args[i] == "--sweep" && i + 1 < args.size()) {
-      for (std::string_view part : SplitChar(args[++i], ',')) {
-        auto v = ParseInt(part);
-        if (!v.ok() || *v < 1) {
-          std::fprintf(stderr, "bad --sweep list (want counts >= 1)\n");
-          return 2;
-        }
-        sweep_counts.push_back(std::uint32_t(*v));
-      }
-    } else if (args[i] == "--csv" && i + 1 < args.size()) {
-      csv_path = args[++i];
-    } else if (args[i] == "--metrics-json" && i + 1 < args.size()) {
-      metrics_path = args[++i];
-    } else if (args[i] == "--profile-interval" && i + 1 < args.size()) {
-      auto v = ParseInt(args[++i]);
-      if (!v.ok() || *v <= 0) {
-        std::fprintf(stderr, "bad --profile-interval\n");
-        return 2;
-      }
-      profile_interval = *v;
-    } else if (args[i] == "--stats") {
-      stats = true;
-    } else if (args[i] == "--memcheck") {
-      memcheck_on = true;
-    } else if (args[i] == "--profile") {
-      profile = true;
-    } else {
-      loader_args.push_back(args[i]);
-    }
+  ensemble::EnsembleCli cli;
+  if (!args.empty() && !StartsWith(args[0], "-")) {
+    cli.options.app = args[0];
+    args.erase(args.begin());
   }
 
-  auto spec = sim::DeviceSpec::FromName(device_name, memory_scale);
+  ToolFlags flags;
+  ArgParser parser(
+      "Runs <app> as an ensemble of instances in one kernel (paper Fig. 5c);\n"
+      "dgc-run --list names the apps. Exit status: 0 = every instance\n"
+      "verified, 1 = an instance failed or memcheck found an error,\n"
+      "2 = usage error.");
+  parser.AddFlag("help", 'h', "print this help", &flags.help)
+      .AddFlag("list", 0, "list the registered apps", &flags.list)
+      .AddString("device", 0, "a100, v100, or test", &flags.device)
+      .AddInt("memory-scale", 0, "device capacity scale divisor",
+              &flags.memory_scale, 1)
+      .AddFlag("stats", 0, "print simulator statistics", &flags.stats)
+      .AddFlag("memcheck", 0,
+               "run the shadow-memory sanitizer; findings are reported and "
+               "make the run exit nonzero",
+               &flags.memcheck)
+      .AddString("trace", 0, "write a chrome://tracing JSON of the kernel",
+                 &flags.trace_path)
+      .AddInt("trace-capacity", 0,
+              "max trace events kept; overflow is dropped and reported",
+              &flags.trace_capacity, 1)
+      .AddFlag("profile", 0,
+               "print per-instance counters and utilization timeline peaks",
+               &flags.profile)
+      .AddString("metrics-json", 0,
+                 "write the dgc-metrics-v1 JSON document (implies "
+                 "profiling); with --sweep a prefix: one <path>.n<count>.json "
+                 "per point",
+                 &flags.metrics_path)
+      .AddInt("profile-interval", 0, "timeline sample interval, cycles",
+              &flags.profile_interval, 1)
+      .AddIntList("sweep",
+                  "Fig. 6 mode: measure speedup at each instance count "
+                  "(first must be 1); -n and --teams do not apply",
+                  &flags.sweep, 1)
+      .AddString("csv", 0, "with --sweep: also export the series as CSV",
+                 &flags.csv_path)
+      .AddInt("jobs", 0,
+              "with --sweep: concurrent sweep points (1 = serial, same "
+              "output)",
+              &flags.jobs, 1);
+  const Status parsed = ensemble::ParseEnsembleCli(args, parser, cli);
+  if (flags.list && !flags.help) return ListApps();
+  if (flags.help || cli.options.app.empty()) {
+    std::printf("%s", parser.Usage("dgc-run <app>").c_str());
+    return flags.help ? 0 : 2;
+  }
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "dgc-run: %s\n", parsed.ToString().c_str());
+    return 2;
+  }
+  auto spec = sim::DeviceSpec::FromName(flags.device, flags.memory_scale);
   if (!spec.ok()) {
     std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
     return 2;
   }
-  // One parser for both modes; a sweep sets the instance count per point,
-  // so -n/--teams are unknown options there.
-  auto cli = ensemble::ParseEnsembleCli(app, loader_args,
-                                        /*with_counts=*/sweep_counts.empty());
-  if (!cli.ok()) {
-    std::fprintf(stderr, "dgc-run: %s\n", cli.status().ToString().c_str());
-    return 2;
-  }
-  if (!sweep_counts.empty()) {
-    return RunSweepMode(app, *cli, sweep_counts, jobs, csv_path, *spec,
-                        profile, metrics_path,
-                        std::uint64_t(profile_interval));
+  if (!flags.sweep.empty()) {
+    // A sweep sets the instance count per point.
+    const char* count_flag = cli.options.num_instances != 0 ? "-n"
+                             : cli.options.num_teams != 0   ? "--teams"
+                                                            : nullptr;
+    if (count_flag != nullptr) {
+      std::fprintf(stderr,
+                   "dgc-run: %s does not apply with --sweep, which sets the "
+                   "instance count per point\n",
+                   count_flag);
+      return 2;
+    }
+    return RunSweepMode(cli, flags, *spec);
   }
   sim::Device device(*spec);
   dgcf::RpcHost rpc(device);
   dgcf::DeviceLibc libc(device);
   dgcf::AppEnv env{&device, &rpc, &libc};
 
-  sim::Trace trace{std::size_t(trace_capacity)};
+  sim::Trace trace{std::size_t(flags.trace_capacity)};
   sim::Memcheck memcheck;
-  if (memcheck_on) memcheck.Attach(device.memory());
-  const bool profiling = profile || !metrics_path.empty();
+  if (flags.memcheck) memcheck.Attach(device.memory());
+  const bool profiling = flags.profile || !flags.metrics_path.empty();
   sim::Profiler::Options profiler_options;
-  if (profile_interval != 0) {
-    profiler_options.sample_interval = std::uint64_t(profile_interval);
-  }
+  profiler_options.sample_interval = flags.profile_interval;
   sim::Profiler profiler(profiler_options);
-  cli->options.trace = trace_path.empty() ? nullptr : &trace;
-  cli->options.memcheck = memcheck_on ? &memcheck : nullptr;
-  cli->options.profiler = profiling ? &profiler : nullptr;
-  auto run = ensemble::RunEnsembleCli(env, *cli);
+  cli.options.trace = flags.trace_path.empty() ? nullptr : &trace;
+  cli.options.memcheck = flags.memcheck ? &memcheck : nullptr;
+  cli.options.profiler = profiling ? &profiler : nullptr;
+  auto run = ensemble::RunEnsembleCli(env, cli);
   if (!run.ok()) {
     std::fprintf(stderr, "dgc-run: %s\n", run.status().ToString().c_str());
     return 2;
   }
-  PrintOutcome(*run, device.spec(), rpc, libc, stats, memcheck_on);
-  if (profile) PrintProfile(*run, profiler);
-  if (!metrics_path.empty()) {
+  PrintOutcome(*run, device.spec(), rpc, libc, flags.stats, flags.memcheck);
+  if (flags.profile) PrintProfile(*run, profiler);
+  if (!flags.metrics_path.empty()) {
     ensemble::MetricsInfo info;
-    info.app = app;
+    info.app = cli.options.app;
     info.device = spec->name;
-    info.thread_limit = cli->options.thread_limit;
+    info.thread_limit = cli.options.thread_limit;
     info.instances = std::uint32_t(run->instances.size());
-    info.teams_per_block = cli->options.teams_per_block;
+    info.teams_per_block = cli.options.teams_per_block;
     const Status s =
-        ensemble::WriteMetricsJson(metrics_path, info, *run, &profiler);
+        ensemble::WriteMetricsJson(flags.metrics_path, info, *run, &profiler);
     if (!s.ok()) {
       std::fprintf(stderr, "metrics export failed: %s\n",
                    s.ToString().c_str());
       return 2;
     }
-    std::printf("metrics written: %s\n", metrics_path.c_str());
+    std::printf("metrics written: %s\n", flags.metrics_path.c_str());
   }
-  if (!trace_path.empty()) {
-    const Status s = trace.WriteChromeJson(trace_path);
+  if (!flags.trace_path.empty()) {
+    const Status s = trace.WriteChromeJson(flags.trace_path);
     if (!s.ok()) {
       std::fprintf(stderr, "trace export failed: %s\n", s.ToString().c_str());
       return 2;
@@ -416,7 +366,7 @@ int main(int argc, char** argv) {
     // The dropped count is part of the summary line: a capacity-truncated
     // export must not read as a complete timeline.
     std::printf("trace written: %s (%zu events, %llu dropped)\n",
-                trace_path.c_str(), trace.events().size(),
+                flags.trace_path.c_str(), trace.events().size(),
                 (unsigned long long)trace.dropped());
     if (trace.dropped() > 0) {
       std::fprintf(stderr,
@@ -426,6 +376,6 @@ int main(int argc, char** argv) {
                    (unsigned long long)trace.dropped());
     }
   }
-  if (memcheck_on && !run->memcheck.clean()) return 1;
+  if (flags.memcheck && !run->memcheck.clean()) return 1;
   return run->all_ok() ? 0 : 1;
 }
