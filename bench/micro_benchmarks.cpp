@@ -1,15 +1,13 @@
 // google-benchmark microbenchmarks for the library's host-side hot paths:
-// loader front ends, the arg-script interpreter, and the simulator core.
+// the coalescer, the lane-to-warp hand-off, the L2 sector cache, and whole
+// ensemble launches (the CI speed gate).
 // These measure the SIMULATOR's throughput (host nanoseconds), not
 // simulated GPU cycles.
 #include <benchmark/benchmark.h>
 
 #include "apps/common.h"
-#include "dgcf/argv.h"
 #include "dgcf/libc.h"
 #include "dgcf/rpc.h"
-#include "ensemble/argfile.h"
-#include "ensemble/argscript.h"
 #include "ensemble/loader.h"
 #include "gpusim/cache.h"
 #include "gpusim/coalesce.h"
@@ -21,63 +19,6 @@
 using namespace dgc;
 
 namespace {
-
-void BM_RngNextU64(benchmark::State& state) {
-  Rng rng(1);
-  for (auto _ : state) benchmark::DoNotOptimize(rng.NextU64());
-}
-BENCHMARK(BM_RngNextU64);
-
-void BM_TokenizeCommandLine(benchmark::State& state) {
-  const std::string line = "-a 1 -b -c 'data file.bin' --mode=fast -x\\ y";
-  for (auto _ : state) benchmark::DoNotOptimize(TokenizeCommandLine(line));
-}
-BENCHMARK(BM_TokenizeCommandLine);
-
-void BM_ArgfileParse(benchmark::State& state) {
-  std::string content;
-  for (int i = 0; i < 64; ++i) {
-    content += StrFormat("-a %d -b -c data-%d.bin # instance %d\n", i, i, i);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ensemble::ParseArgumentLines(content));
-  }
-}
-BENCHMARK(BM_ArgfileParse);
-
-void BM_ArgScriptExpand(benchmark::State& state) {
-  const char* script =
-      "@seed 42\n"
-      "@repeat 64 : -a {i%3+1} -s {rand 1 100} -m {choice small|large} "
-      "-k {(i+1)*1000}\n";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ensemble::ExpandScript(script));
-  }
-}
-BENCHMARK(BM_ArgScriptExpand);
-
-void BM_CoalesceContiguous(benchmark::State& state) {
-  std::vector<sim::LaneAccess> accesses;
-  for (int i = 0; i < 32; ++i) accesses.push_back({0x10000 + std::uint64_t(i) * 8, 8});
-  std::vector<std::uint64_t> out;
-  for (auto _ : state) {
-    sim::CoalesceSectors(accesses, 32, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_CoalesceContiguous);
-
-void BM_CoalesceScattered(benchmark::State& state) {
-  Rng rng(3);
-  std::vector<sim::LaneAccess> accesses;
-  for (int i = 0; i < 32; ++i) accesses.push_back({rng.NextBounded(1 << 20), 8});
-  std::vector<std::uint64_t> out;
-  for (auto _ : state) {
-    sim::CoalesceSectors(accesses, 32, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_CoalesceScattered);
 
 /// Coalesces a rotating set of pre-generated warp batch groups, so that
 /// neither the branch predictor nor the cache sees one input repeated.
@@ -164,71 +105,6 @@ void BM_SectorCacheAccess(benchmark::State& state) {
   state.counters["sets"] = l2.sets();
 }
 BENCHMARK(BM_SectorCacheAccess);
-
-void BM_DeviceMallocFree(benchmark::State& state) {
-  sim::DeviceMemory mem(1 << 26);
-  for (auto _ : state) {
-    auto buf = mem.Allocate(4096);
-    benchmark::DoNotOptimize(buf);
-    (void)mem.Free(buf->addr);
-  }
-}
-BENCHMARK(BM_DeviceMallocFree);
-
-void BM_ArgvBlockBuild(benchmark::State& state) {
-  sim::Device device(sim::DeviceSpec::TestDevice());
-  std::vector<std::vector<std::string>> rows;
-  for (int i = 0; i < 64; ++i) {
-    rows.push_back({"app", "-a", StrFormat("%d", i), "-c",
-                    StrFormat("data-%d.bin", i)});
-  }
-  for (auto _ : state) {
-    auto block = dgcf::ArgvBlock::Build(device, rows);
-    benchmark::DoNotOptimize(block->argv(63));
-  }
-}
-BENCHMARK(BM_ArgvBlockBuild);
-
-/// Simulator throughput: simulated warp memory instructions per second.
-void BM_SimulatorStreamingKernel(benchmark::State& state) {
-  sim::Device device(sim::DeviceSpec::TestDevice());
-  const std::uint32_t n = 1 << 14;
-  auto buf = *device.Malloc(n * sizeof(double));
-  auto p = buf.Typed<double>();
-  for (auto _ : state) {
-    sim::LaunchConfig cfg{.grid = {2, 1, 1}, .block = {64, 1, 1}};
-    auto r = device.Launch(cfg, [&](sim::ThreadCtx& ctx) -> sim::DeviceTask<void> {
-      for (std::uint32_t i = ctx.block_id * ctx.block_threads + ctx.thread_id;
-           i < n; i += ctx.block_threads * ctx.grid_blocks) {
-        co_await ctx.Store(p + i, 1.0);
-      }
-    });
-    benchmark::DoNotOptimize(r->cycles);
-  }
-  state.SetItemsProcessed(std::int64_t(state.iterations()) * n / 32);
-}
-BENCHMARK(BM_SimulatorStreamingKernel);
-
-/// End-to-end loader cost for a small ensemble of a real app.
-void BM_EnsembleLoaderXsbenchSmall(benchmark::State& state) {
-  apps::RegisterAllApps();
-  for (auto _ : state) {
-    sim::Device device(sim::DeviceSpec::TestDevice());
-    dgcf::RpcHost rpc(device);
-    dgcf::DeviceLibc libc(device);
-    dgcf::AppEnv env{&device, &rpc, &libc};
-    ensemble::EnsembleOptions opt;
-    opt.app = "xsbench";
-    for (int i = 0; i < 4; ++i) {
-      opt.instance_args.push_back(
-          {"-i", "6", "-g", "32", "-l", "64", "-s", StrFormat("%d", i + 1)});
-    }
-    opt.thread_limit = 32;
-    auto run = ensemble::RunEnsemble(env, opt);
-    benchmark::DoNotOptimize(run->kernel_cycles);
-  }
-}
-BENCHMARK(BM_EnsembleLoaderXsbenchSmall)->Unit(benchmark::kMillisecond);
 
 /// The hot-path speed gate: one full XSBench ensemble launch at fig6a
 /// scale-down, parameterized by instance count. This is the benchmark the

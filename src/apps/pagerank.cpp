@@ -52,13 +52,10 @@ StatusOr<PrParams> PrParams::Parse(const std::vector<std::string>& args) {
   parser.AddInt("nodes", 'g', "graph nodes", &p.n_nodes, 2)
       .AddInt("degree", 'd', "average in-degree", &p.avg_degree, 1)
       .AddInt("iterations", 'k', "propagation steps", &p.iterations, 1)
-      .AddDouble("damping", 'a', "damping factor", &p.damping)
+      .AddDouble("damping", 'a', "damping factor", &p.damping, 0.0, 1.0)
       .AddInt("seed", 's', "workload seed", &seed)
       .AddFlag("verbose", 'v', "print results via device printf", &p.verbose);
   DGC_RETURN_IF_ERROR(parser.Parse(args));
-  if (p.damping <= 0 || p.damping >= 1) {
-    return Status(ErrorCode::kInvalidArgument, "pagerank: bad parameters");
-  }
   p.seed = std::uint64_t(seed);
   return p;
 }

@@ -107,82 +107,6 @@ sim::DeviceTask<void> DeviceLibc::Free(sim::ThreadCtx& ctx,
   }
 }
 
-namespace {
-/// Word-at-a-time span for the mem* routines (8 bytes per slot).
-constexpr std::uint64_t kWordsPerBatch = sim::detail::kMaxGather;
-}  // namespace
-
-sim::DeviceTask<void> DeviceLibc::Memset(sim::ThreadCtx& ctx,
-                                         sim::DevicePtr<std::uint8_t> dst,
-                                         std::uint8_t value,
-                                         std::uint64_t bytes) {
-  std::uint64_t word = 0;
-  for (int b = 0; b < 8; ++b) word = (word << 8) | value;
-  // Head: byte stores until dst is naturally aligned for 8-byte words — a
-  // misaligned base must not be widened into misaligned word stores.
-  const std::uint64_t head = std::min(bytes, (8 - dst.addr % 8) % 8);
-  for (std::uint64_t t = 0; t < head; ++t) {
-    co_await ctx.Store(dst + std::ptrdiff_t(t), value);
-  }
-  // Bulk: 8-byte stores in pipelined batches.
-  auto dst64 = (dst + std::ptrdiff_t(head)).Cast<std::uint64_t>();
-  const std::uint64_t words = (bytes - head) / 8;
-  std::uint64_t i = 0;
-  while (i < words) {
-    auto s = ctx.Scatter<std::uint64_t>();
-    const std::uint64_t chunk = std::min(words - i, kWordsPerBatch);
-    for (std::uint64_t j = 0; j < chunk; ++j) {
-      s.Add(dst64 + std::ptrdiff_t(i + j), word);
-    }
-    co_await s;
-    i += chunk;
-  }
-  // Tail bytes.
-  for (std::uint64_t t = head + words * 8; t < bytes; ++t) {
-    co_await ctx.Store(dst + std::ptrdiff_t(t), value);
-  }
-}
-
-sim::DeviceTask<void> DeviceLibc::Memcpy(sim::ThreadCtx& ctx,
-                                         sim::DevicePtr<std::uint8_t> dst,
-                                         sim::DevicePtr<std::uint8_t> src,
-                                         std::uint64_t bytes) {
-  // Head: byte copies until dst is word-aligned. If src does not share
-  // dst's alignment the word path would issue misaligned loads, so the
-  // whole copy degrades to byte traffic (what compiled code does too).
-  std::uint64_t head = std::min(bytes, (8 - dst.addr % 8) % 8);
-  if ((src.addr + head) % 8 != 0) head = bytes;
-  for (std::uint64_t t = 0; t < head; ++t) {
-    const std::uint8_t v = co_await ctx.Load(src + std::ptrdiff_t(t));
-    co_await ctx.Store(dst + std::ptrdiff_t(t), v);
-  }
-  auto dst64 = (dst + std::ptrdiff_t(head)).Cast<std::uint64_t>();
-  auto src64 = (src + std::ptrdiff_t(head)).Cast<std::uint64_t>();
-  const std::uint64_t words = (bytes - head) / 8;
-  std::uint64_t i = 0;
-  while (i < words) {
-    const std::uint64_t chunk = std::min(words - i, kWordsPerBatch);
-    auto g = ctx.LoadRun(src64 + std::ptrdiff_t(i), std::uint32_t(chunk));
-    co_await g;
-    auto s = ctx.Scatter<std::uint64_t>();
-    for (std::uint64_t j = 0; j < chunk; ++j) {
-      s.Add(dst64 + std::ptrdiff_t(i + j), g.Result(std::uint32_t(j)));
-    }
-    co_await s;
-    i += chunk;
-  }
-  for (std::uint64_t t = head + words * 8; t < bytes; ++t) {
-    const std::uint8_t v = co_await ctx.Load(src + std::ptrdiff_t(t));
-    co_await ctx.Store(dst + std::ptrdiff_t(t), v);
-  }
-}
-
-std::uint64_t DeviceLibc::StrLen(sim::DevicePtr<char> s) {
-  std::uint64_t n = 0;
-  while (s.host[n] != '\0') ++n;
-  return n;
-}
-
 int DeviceLibc::StrCmp(sim::DevicePtr<char> a, const char* b) {
   std::uint64_t i = 0;
   while (a.host[i] != '\0' && a.host[i] == b[i]) ++i;
@@ -191,7 +115,7 @@ int DeviceLibc::StrCmp(sim::DevicePtr<char> a, const char* b) {
 }
 
 std::string DeviceLibc::ToString(sim::DevicePtr<char> s) {
-  return std::string(s.host, StrLen(s));
+  return std::string(s.host);
 }
 
 }  // namespace dgc::dgcf

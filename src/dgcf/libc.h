@@ -80,20 +80,7 @@ class DeviceLibc {
   std::uint64_t failed_allocations() const { return failed_; }
   std::uint64_t failed_frees() const { return failed_frees_; }
 
-  /// Timed memset over device memory: issued as pipelined store batches
-  /// (the memory traffic a device-side memset loop generates).
-  static sim::DeviceTask<void> Memset(sim::ThreadCtx& ctx,
-                                      sim::DevicePtr<std::uint8_t> dst,
-                                      std::uint8_t value, std::uint64_t bytes);
-
-  /// Timed device-to-device memcpy: gather + scatter batches.
-  static sim::DeviceTask<void> Memcpy(sim::ThreadCtx& ctx,
-                                      sim::DevicePtr<std::uint8_t> dst,
-                                      sim::DevicePtr<std::uint8_t> src,
-                                      std::uint64_t bytes);
-
   // --- String routines over device pointers (untimed setup-path helpers) ---
-  static std::uint64_t StrLen(sim::DevicePtr<char> s);
   static int StrCmp(sim::DevicePtr<char> a, const char* b);
   static std::string ToString(sim::DevicePtr<char> s);
 

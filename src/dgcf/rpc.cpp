@@ -1,7 +1,5 @@
 #include "dgcf/rpc.h"
 
-#include <cstring>
-
 // RPC handler lambdas are held in named coroutine locals and passed to
 // HostCall by pointer — see the HostCall contract in gpusim/ctx.h. They may
 // capture the coroutine's parameters by reference: the frame stays alive
@@ -11,83 +9,15 @@ namespace dgc::dgcf {
 
 sim::DeviceTask<int> RpcHost::Print(sim::ThreadCtx& ctx, std::string text) {
   std::function<std::uint64_t()> handler = [this, &text]() -> std::uint64_t {
-    ++calls_;
-    if (InjectFailure()) return std::uint64_t(-1);
+    if (faults_ != nullptr && faults_->NextRpcFails()) {
+      return std::uint64_t(-1);
+    }
     stdout_ += text;
     return text.size();
   };
-  const std::uint64_t n = co_await ctx.HostCall(&handler, RoundTrip());
+  const std::uint64_t n = co_await ctx.HostCall(
+      &handler, device_.spec().rpc_roundtrip_cycles);
   co_return int(n);
-}
-
-sim::DeviceTask<std::int64_t> RpcHost::ReadFile(sim::ThreadCtx& ctx,
-                                                std::string path,
-                                                sim::DevicePtr<std::byte> dst,
-                                                std::uint64_t offset,
-                                                std::uint64_t bytes) {
-  // The payload crosses PCIe in addition to the ring round trip.
-  const std::uint64_t cost =
-      RoundTrip() + sim::TransferCycles(device_.spec(), bytes);
-  std::function<std::uint64_t()> handler = [this, &path, dst, offset,
-                                            bytes]() -> std::uint64_t {
-    ++calls_;
-    if (InjectFailure()) return std::uint64_t(-1);
-    auto it = files_.find(path);
-    if (it == files_.end()) return std::uint64_t(-1);
-    const auto& data = it->second;
-    if (offset >= data.size()) return 0;
-    const std::uint64_t n = std::min<std::uint64_t>(bytes, data.size() - offset);
-    std::memcpy(dst.host, data.data() + offset, n);
-    return n;
-  };
-  const std::uint64_t reply = co_await ctx.HostCall(&handler, cost);
-  co_return std::int64_t(reply);
-}
-
-sim::DeviceTask<std::int64_t> RpcHost::FileSize(sim::ThreadCtx& ctx,
-                                                std::string path) {
-  std::function<std::uint64_t()> handler = [this, &path]() -> std::uint64_t {
-    ++calls_;
-    if (InjectFailure()) return std::uint64_t(-1);
-    auto it = files_.find(path);
-    return it == files_.end() ? std::uint64_t(-1) : it->second.size();
-  };
-  const std::uint64_t reply = co_await ctx.HostCall(&handler, RoundTrip());
-  co_return std::int64_t(reply);
-}
-
-sim::DeviceTask<std::int64_t> RpcHost::WriteFile(
-    sim::ThreadCtx& ctx, std::string path, sim::DevicePtr<const std::byte> src,
-    std::uint64_t bytes) {
-  const std::uint64_t cost =
-      RoundTrip() + sim::TransferCycles(device_.spec(), bytes);
-  std::function<std::uint64_t()> handler = [this, &path, src,
-                                            bytes]() -> std::uint64_t {
-    ++calls_;
-    if (InjectFailure()) return std::uint64_t(-1);
-    auto& file = files_[path];
-    const std::size_t offset = file.size();
-    file.resize(offset + bytes);
-    std::memcpy(file.data() + offset, src.host, bytes);
-    return bytes;
-  };
-  const std::uint64_t reply = co_await ctx.HostCall(&handler, cost);
-  co_return std::int64_t(reply);
-}
-
-const std::vector<std::byte>* RpcHost::GetFile(const std::string& path) const {
-  auto it = files_.find(path);
-  return it == files_.end() ? nullptr : &it->second;
-}
-
-void RpcHost::AddFile(std::string path, std::vector<std::byte> contents) {
-  files_[std::move(path)] = std::move(contents);
-}
-
-void RpcHost::AddTextFile(std::string path, std::string_view contents) {
-  std::vector<std::byte> bytes(contents.size());
-  std::memcpy(bytes.data(), contents.data(), contents.size());
-  AddFile(std::move(path), std::move(bytes));
 }
 
 }  // namespace dgc::dgcf

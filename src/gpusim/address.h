@@ -61,12 +61,6 @@ struct DevicePtr {
   constexpr T& operator*() const { return *host; }
   constexpr T& operator[](std::ptrdiff_t i) const { return host[i]; }
 
-  /// Reinterpret as another trivially-copyable element type.
-  template <typename U>
-  constexpr DevicePtr<U> Cast() const {
-    return {addr, reinterpret_cast<U*>(host)};
-  }
-
   friend constexpr bool operator==(const DevicePtr&, const DevicePtr&) = default;
 };
 

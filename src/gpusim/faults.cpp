@@ -16,34 +16,43 @@ std::string_view ToString(TrapKind kind) {
   return "unknown";
 }
 
-bool FaultPlan::SeededFlip(std::uint64_t seed, std::uint64_t stream,
-                           std::uint64_t ordinal, double p) {
+Status OrdinalRule::Parse(std::string_view value) {
+  if (!value.empty() && value[0] == 'p') {
+    auto pct = ParseDouble(value.substr(1));
+    if (!pct.ok() || *pct < 0.0 || *pct > 100.0) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "probability must be p<0..100>");
+    }
+    p = *pct / 100.0;
+    return Status::Ok();
+  }
+  for (std::string_view part : SplitChar(value, ',')) {
+    auto n = ParseInt(part);
+    if (!n.ok() || *n < 1) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "ordinals are 1-based positive integers");
+    }
+    ordinals.push_back(std::uint64_t(*n));
+  }
+  return Status::Ok();
+}
+
+bool OrdinalRule::Fires(std::uint64_t seed, std::uint64_t stream,
+                        std::uint64_t ordinal) const {
+  for (std::uint64_t listed : ordinals) {
+    if (listed == ordinal) return true;
+  }
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   SplitMix64 mix(seed ^ (stream * 0x9e3779b97f4a7c15ULL) ^ ordinal);
   return double(mix.Next() >> 11) * 0x1.0p-53 < p;
 }
 
-namespace {
-
-bool Contains(const std::vector<std::uint64_t>& v, std::uint64_t x) {
-  for (std::uint64_t e : v) {
-    if (e == x) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 bool FaultPlan::NextMallocFails() {
-  const std::uint64_t n = ++malloc_calls;
-  return Contains(malloc_fail, n) || SeededFlip(seed, 1, n, malloc_fail_p);
+  return malloc_fail.Fires(seed, 1, ++malloc_calls);
 }
 
-bool FaultPlan::NextRpcFails() {
-  const std::uint64_t n = ++rpc_calls;
-  return Contains(rpc_fail, n) || SeededFlip(seed, 2, n, rpc_fail_p);
-}
+bool FaultPlan::NextRpcFails() { return rpc_fail.Fires(seed, 2, ++rpc_calls); }
 
 FaultPlan::TrapSite* FaultPlan::MatchTrap(std::uint32_t block,
                                           std::uint32_t warp,
@@ -96,28 +105,6 @@ StatusOr<std::uint32_t> ParseId(std::string_view field, char prefix,
   return std::uint32_t(id);
 }
 
-/// Parses the value of malloc-fail/rpc-fail: "p<pct>" or "n[,n...]".
-Status ParseFailList(std::string_view value, std::string_view clause,
-                     std::vector<std::uint64_t>* ordinals, double* probability) {
-  if (!value.empty() && value[0] == 'p') {
-    auto pct = ParseDouble(value.substr(1));
-    if (!pct.ok() || *pct < 0.0 || *pct > 100.0) {
-      return BadClause(clause, "probability must be p<0..100>");
-    }
-    *probability = *pct / 100.0;
-    return Status::Ok();
-  }
-  for (std::string_view part : SplitChar(value, ',')) {
-    auto n = ParseInt(part);
-    if (!n.ok() || *n < 1) {
-      return BadClause(clause, "ordinals are 1-based positive integers");
-    }
-    ordinals->push_back(std::uint64_t(*n));
-  }
-  if (ordinals->empty()) return BadClause(clause, "empty ordinal list");
-  return Status::Ok();
-}
-
 }  // namespace
 
 StatusOr<FaultPlan> FaultPlan::Parse(std::string_view spec) {
@@ -135,12 +122,12 @@ StatusOr<FaultPlan> FaultPlan::Parse(std::string_view spec) {
       auto v = ParseInt(value);
       if (!v.ok() || *v < 0) return BadClause(clause, "bad seed");
       plan.seed = std::uint64_t(*v);
-    } else if (kind == "malloc-fail") {
-      DGC_RETURN_IF_ERROR(ParseFailList(value, clause, &plan.malloc_fail,
-                                        &plan.malloc_fail_p));
-    } else if (kind == "rpc-fail") {
-      DGC_RETURN_IF_ERROR(
-          ParseFailList(value, clause, &plan.rpc_fail, &plan.rpc_fail_p));
+    } else if (kind == "malloc-fail" || kind == "rpc-fail") {
+      OrdinalRule& rule =
+          kind == "malloc-fail" ? plan.malloc_fail : plan.rpc_fail;
+      if (Status s = rule.Parse(value); !s.ok()) {
+        return BadClause(clause, s.message().c_str());
+      }
     } else if (kind == "trap") {
       const auto fields = SplitChar(value, '.');
       if (fields.size() != 3) {
@@ -167,36 +154,6 @@ StatusOr<FaultPlan> FaultPlan::Parse(std::string_view spec) {
     }
   }
   return plan;
-}
-
-std::string FaultPlan::ToString() const {
-  std::vector<std::string> clauses;
-  if (seed != 1) clauses.push_back(StrFormat("seed@%llu",
-                                             (unsigned long long)seed));
-  auto list_clause = [&](const char* name,
-                         const std::vector<std::uint64_t>& ordinals,
-                         double p) {
-    if (!ordinals.empty()) {
-      std::string body;
-      for (std::size_t i = 0; i < ordinals.size(); ++i) {
-        body += StrFormat(i == 0 ? "%llu" : ",%llu",
-                          (unsigned long long)ordinals[i]);
-      }
-      clauses.push_back(std::string(name) + "@" + body);
-    }
-    if (p > 0.0) clauses.push_back(StrFormat("%s@p%g", name, p * 100.0));
-  };
-  list_clause("malloc-fail", malloc_fail, malloc_fail_p);
-  list_clause("rpc-fail", rpc_fail, rpc_fail_p);
-  for (const TrapSite& t : traps) {
-    clauses.push_back(StrFormat("trap@b%u.w%u.c%llu", t.block, t.warp,
-                                (unsigned long long)t.cycle));
-  }
-  for (const Slowdown& s : slowdowns) {
-    clauses.push_back(StrFormat("slow@b%u.x%llu", s.block,
-                                (unsigned long long)s.factor));
-  }
-  return Join(clauses, ";");
 }
 
 }  // namespace dgc::sim

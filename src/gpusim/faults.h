@@ -56,6 +56,30 @@ class DeviceTrap : public std::runtime_error {
 /// parked on a barrier that can never release.
 enum class LaunchOutcome : std::uint8_t { kCompleted = 0, kDeadlocked };
 
+/// Which 1-based call or job ordinals an injection clause hits: the listed
+/// ones, plus each ordinal with probability `p` by a seeded coin flip. It
+/// is the value of FaultPlan's malloc-fail/rpc-fail clauses and of
+/// serve::ChaosPlan's malformed/trap/slow clauses: "n[,n...]" or "p<pct>".
+struct OrdinalRule {
+  std::vector<std::uint64_t> ordinals;  ///< 1-based
+  double p = 0.0;                       ///< per-ordinal probability
+
+  bool empty() const { return ordinals.empty() && p == 0.0; }
+
+  /// Reads one clause value: "n[,n...]" appends to `ordinals`, "p<pct>"
+  /// sets `p`. A bad value returns an error whose message says why; the
+  /// caller names the clause.
+  Status Parse(std::string_view value);
+
+  /// True when `ordinal` is listed or its coin flip on `stream` lands.
+  /// Hashing (seed, stream, ordinal) keeps each decision independent of
+  /// evaluation order. FaultPlan's clauses use streams 1 (malloc) and 2
+  /// (rpc); service-level plans draw from streams >= 16 so their decisions
+  /// never correlate with launch-level injection under a shared seed.
+  bool Fires(std::uint64_t seed, std::uint64_t stream,
+             std::uint64_t ordinal) const;
+};
+
 /// A deterministic fault-injection plan. Counters are mutated as the
 /// simulation consumes the plan, so one plan shared across retry waves
 /// injects each listed fault exactly once (which is what lets a retry
@@ -85,10 +109,8 @@ struct FaultPlan {
   };
 
   std::uint64_t seed = 1;
-  std::vector<std::uint64_t> malloc_fail;  ///< 1-based call ordinals
-  double malloc_fail_p = 0.0;              ///< per-call failure probability
-  std::vector<std::uint64_t> rpc_fail;     ///< 1-based call ordinals
-  double rpc_fail_p = 0.0;
+  OrdinalRule malloc_fail;  ///< device malloc call ordinals
+  OrdinalRule rpc_fail;     ///< host RPC call ordinals
   std::vector<TrapSite> traps;
   std::vector<Slowdown> slowdowns;
 
@@ -98,8 +120,8 @@ struct FaultPlan {
 
   /// True when the plan injects nothing (a default-constructed plan).
   bool empty() const {
-    return malloc_fail.empty() && malloc_fail_p == 0.0 && rpc_fail.empty() &&
-           rpc_fail_p == 0.0 && traps.empty() && slowdowns.empty();
+    return malloc_fail.empty() && rpc_fail.empty() && traps.empty() &&
+           slowdowns.empty();
   }
 
   /// Counts a device malloc call; true if the plan fails it.
@@ -115,8 +137,6 @@ struct FaultPlan {
 
   /// Parses the spec grammar above. An empty spec yields an empty plan.
   static StatusOr<FaultPlan> Parse(std::string_view spec);
-  /// Canonical spec string (parseable by Parse; "" for an empty plan).
-  std::string ToString() const;
 
   // --- Service-level plan construction --------------------------------------
   // A scheduler that packs jobs into launches compiles its per-job fault
@@ -132,15 +152,6 @@ struct FaultPlan {
   void AddSlowdown(std::uint32_t block, std::uint64_t factor) {
     slowdowns.push_back(Slowdown{block, factor == 0 ? 1 : factor});
   }
-
-  /// The deterministic per-ordinal coin flip behind the probabilistic
-  /// clauses: hashing (seed, stream, ordinal) keeps each decision
-  /// independent of evaluation order. Streams 1 (malloc) and 2 (rpc) are
-  /// taken by this plan's own clauses; service-level plans draw from
-  /// streams >= 16 so their decisions never correlate with launch-level
-  /// injection under a shared seed.
-  static bool SeededFlip(std::uint64_t seed, std::uint64_t stream,
-                         std::uint64_t ordinal, double p);
 };
 
 }  // namespace dgc::sim

@@ -278,11 +278,6 @@ bool Memcheck::CheckAccess(const Lane& lane, DeviceOp::Kind op,
   return true;
 }
 
-void Memcheck::ResetReport() {
-  report_ = MemcheckReport{};
-  findings_at_launch_begin_ = 0;
-}
-
 const Memcheck::ShadowAlloc* Memcheck::FindLive(DeviceAddr addr) const {
   auto it = live_.upper_bound(addr);
   if (it == live_.begin()) return nullptr;

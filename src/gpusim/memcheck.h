@@ -164,8 +164,6 @@ class Memcheck : public AllocationListener {
 
   const MemcheckReport& report() const { return report_; }
   const MemcheckConfig& config() const { return config_; }
-  /// Clears findings and counters (the shadow map is preserved).
-  void ResetReport();
 
  private:
   struct ShadowAlloc {

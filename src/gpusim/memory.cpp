@@ -136,31 +136,12 @@ Status DeviceMemory::Free(DeviceAddr addr) {
   return Status::Ok();
 }
 
-std::byte* DeviceMemory::HostPtr(DeviceAddr addr) const {
-  auto it = live_.upper_bound(addr);
-  if (it == live_.begin()) return nullptr;
-  --it;
-  if (addr >= it->first + it->second.bytes) return nullptr;
-  return it->second.storage.get() + (addr - it->first);
-}
-
 std::vector<std::pair<DeviceAddr, std::uint64_t>>
 DeviceMemory::LiveAllocations() const {
   std::vector<std::pair<DeviceAddr, std::uint64_t>> out;
   out.reserve(live_.size());
   for (const auto& [addr, region] : live_) out.emplace_back(addr, region.bytes);
   return out;
-}
-
-bool DeviceMemory::Contains(DeviceAddr addr, std::uint64_t bytes) const {
-  auto it = live_.upper_bound(addr);
-  if (it == live_.begin()) return false;
-  --it;
-  // Tight semantics: `addr` itself must be inside the allocation, so the
-  // one-past-the-end address is never contained — not even for an empty
-  // range. Written without `addr + bytes` to stay overflow-safe.
-  const DeviceAddr end = it->first + it->second.bytes;
-  return addr >= it->first && addr < end && bytes <= end - addr;
 }
 
 DeviceMemSnapshot DeviceMemory::Snapshot() const {

@@ -111,18 +111,6 @@ class DeviceMemory {
                                         std::uint64_t bytes,
                                         const std::string& label = {});
 
-  /// True when `addr` is the base of a live shared segment.
-  bool IsShared(DeviceAddr addr) const {
-    return shared_by_addr_.find(addr) != shared_by_addr_.end();
-  }
-
-  /// Translates a device address to its backing host pointer; nullptr when
-  /// the address is not inside a live allocation.
-  std::byte* HostPtr(DeviceAddr addr) const;
-
-  /// True when [addr, addr+bytes) lies inside one live allocation.
-  bool Contains(DeviceAddr addr, std::uint64_t bytes) const;
-
   std::uint64_t bytes_in_use() const { return bytes_in_use_; }
   std::uint64_t capacity() const { return capacity_; }
   std::uint64_t allocation_count() const { return live_.size(); }

@@ -1,6 +1,5 @@
 #include "serve/chaos.h"
 
-#include "gpusim/faults.h"
 #include "support/str.h"
 
 namespace dgc::serve {
@@ -13,67 +12,16 @@ Status BadClause(std::string_view clause, const char* why) {
                           clause.data(), why));
 }
 
-/// Parses "p<pct>" or "n[,n...]" (the FaultPlan fail-list shape).
-Status ParseOrdinalList(std::string_view value, std::string_view clause,
-                        std::vector<std::uint64_t>* ordinals, double* p) {
-  if (!value.empty() && value[0] == 'p') {
-    auto pct = ParseDouble(value.substr(1));
-    if (!pct.ok() || *pct < 0.0 || *pct > 100.0) {
-      return BadClause(clause, "probability must be p<0..100>");
-    }
-    *p = *pct / 100.0;
-    return Status::Ok();
-  }
-  for (std::string_view part : SplitChar(value, ',')) {
-    auto n = ParseInt(part);
-    if (!n.ok() || *n < 1) {
-      return BadClause(clause, "ordinals are 1-based positive integers");
-    }
-    ordinals->push_back(std::uint64_t(*n));
-  }
-  if (ordinals->empty()) return BadClause(clause, "empty ordinal list");
-  return Status::Ok();
-}
-
-bool Contains(const std::vector<std::uint64_t>& v, std::uint64_t x) {
-  for (std::uint64_t e : v) {
-    if (e == x) return true;
-  }
-  return false;
-}
-
-std::string FormatOrdinalList(const char* name,
-                              const std::vector<std::uint64_t>& ordinals,
-                              double p, const char* suffix) {
-  std::string out;
-  if (!ordinals.empty()) {
-    std::string body;
-    for (std::size_t i = 0; i < ordinals.size(); ++i) {
-      body += StrFormat(i == 0 ? "%llu" : ",%llu",
-                        (unsigned long long)ordinals[i]);
-    }
-    out = std::string(name) + "@" + body + suffix;
-  } else if (p > 0.0) {
-    out = StrFormat("%s@p%g%s", name, p * 100.0, suffix);
-  }
-  return out;
-}
-
 }  // namespace
 
 ChaosPlan::Decision ChaosPlan::Decide(std::uint64_t ordinal) const {
   Decision d;
-  d.malformed = Contains(malformed, ordinal) ||
-                sim::FaultPlan::SeededFlip(seed, kMalformedStream, ordinal,
-                                           malformed_p);
+  d.malformed = malformed.Fires(seed, kMalformedStream, ordinal);
   // A malformed job never reaches a launch, so further decisions are moot
   // but still computed — keeping every decision independent of the others
   // is what makes the schedule replayable clause by clause.
-  d.trap = Contains(trap, ordinal) ||
-           sim::FaultPlan::SeededFlip(seed, kTrapStream, ordinal, trap_p);
-  const bool slowed =
-      Contains(slow, ordinal) ||
-      sim::FaultPlan::SeededFlip(seed, kSlowStream, ordinal, slow_p);
+  d.trap = trap.Fires(seed, kTrapStream, ordinal);
+  const bool slowed = slow.Fires(seed, kSlowStream, ordinal);
   d.slow_factor = slowed && slow_factor > 1 ? slow_factor : 1;
   return d;
 }
@@ -93,47 +41,31 @@ StatusOr<ChaosPlan> ChaosPlan::Parse(std::string_view spec) {
       auto v = ParseInt(value);
       if (!v.ok() || *v < 0) return BadClause(clause, "bad seed");
       plan.seed = std::uint64_t(*v);
-    } else if (kind == "malformed") {
-      DGC_RETURN_IF_ERROR(ParseOrdinalList(value, clause, &plan.malformed,
-                                           &plan.malformed_p));
-    } else if (kind == "trap") {
-      DGC_RETURN_IF_ERROR(
-          ParseOrdinalList(value, clause, &plan.trap, &plan.trap_p));
-    } else if (kind == "slow") {
-      // slow@<list|p..>.x<F> — the factor rides after the last '.'.
-      const std::size_t dot = value.rfind(".x");
-      if (dot == std::string_view::npos) {
-        return BadClause(clause, "expected slow@<jobs>.x<factor>");
+    } else if (kind == "malformed" || kind == "trap" || kind == "slow") {
+      sim::OrdinalRule& rule = kind == "malformed" ? plan.malformed
+                               : kind == "trap"    ? plan.trap
+                                                   : plan.slow;
+      if (kind == "slow") {
+        // slow@<list|p..>.x<F> — the factor rides after the last '.'.
+        const std::size_t dot = value.rfind(".x");
+        if (dot == std::string_view::npos) {
+          return BadClause(clause, "expected slow@<jobs>.x<factor>");
+        }
+        auto factor = ParseInt(value.substr(dot + 2));
+        if (!factor.ok() || *factor < 1) {
+          return BadClause(clause, "factor must be >= 1");
+        }
+        plan.slow_factor = std::uint64_t(*factor);
+        value = value.substr(0, dot);
       }
-      auto factor = ParseInt(value.substr(dot + 2));
-      if (!factor.ok() || *factor < 1) {
-        return BadClause(clause, "factor must be >= 1");
+      if (Status s = rule.Parse(value); !s.ok()) {
+        return BadClause(clause, s.message().c_str());
       }
-      plan.slow_factor = std::uint64_t(*factor);
-      value = value.substr(0, dot);
-      DGC_RETURN_IF_ERROR(
-          ParseOrdinalList(value, clause, &plan.slow, &plan.slow_p));
     } else {
       return BadClause(clause, "unknown kind (seed, malformed, trap, slow)");
     }
   }
   return plan;
-}
-
-std::string ChaosPlan::ToString() const {
-  std::vector<std::string> clauses;
-  if (seed != 1) {
-    clauses.push_back(StrFormat("seed@%llu", (unsigned long long)seed));
-  }
-  std::string c = FormatOrdinalList("malformed", malformed, malformed_p, "");
-  if (!c.empty()) clauses.push_back(std::move(c));
-  c = FormatOrdinalList("trap", trap, trap_p, "");
-  if (!c.empty()) clauses.push_back(std::move(c));
-  const std::string suffix =
-      StrFormat(".x%llu", (unsigned long long)slow_factor);
-  c = FormatOrdinalList("slow", slow, slow_p, suffix.c_str());
-  if (!c.empty()) clauses.push_back(std::move(c));
-  return Join(clauses, ";");
 }
 
 }  // namespace dgc::serve

@@ -5,8 +5,9 @@
 // traps"; chaos answers "what if the service is fed garbage": malformed
 // submissions, jobs that trap mid-launch, jobs that run pathologically
 // slow. Decisions are keyed on the job's 1-based submission ordinal and a
-// seed, using the same hash behind FaultPlan's probabilistic clauses —
-// evaluation order never matters, so a chaos run replays byte-identically.
+// seed through sim::OrdinalRule, the rule behind FaultPlan's malloc-fail
+// and rpc-fail clauses — evaluation order never matters, so a chaos run
+// replays byte-identically.
 //
 // Spec grammar (semicolon-separated clauses):
 //   seed@<n>                 decision seed (default 1)
@@ -23,29 +24,25 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
+#include "gpusim/faults.h"
 #include "support/status.h"
 
 namespace dgc::serve {
 
 struct ChaosPlan {
-  /// SeededFlip streams for chaos decisions. FaultPlan's own clauses use
-  /// streams 1-2; chaos starts at 16 so a shared seed never correlates
-  /// service-level and launch-level injection.
+  /// OrdinalRule::Fires streams for chaos decisions. FaultPlan's own
+  /// clauses use streams 1-2; chaos starts at 16 so a shared seed never
+  /// correlates service-level and launch-level injection.
   static constexpr std::uint64_t kMalformedStream = 16;
   static constexpr std::uint64_t kTrapStream = 17;
   static constexpr std::uint64_t kSlowStream = 18;
 
   std::uint64_t seed = 1;
-  std::vector<std::uint64_t> malformed;  ///< 1-based job ordinals
-  double malformed_p = 0.0;
-  std::vector<std::uint64_t> trap;
-  double trap_p = 0.0;
-  std::vector<std::uint64_t> slow;
-  double slow_p = 0.0;
+  sim::OrdinalRule malformed;  ///< job submission ordinals
+  sim::OrdinalRule trap;
+  sim::OrdinalRule slow;
   std::uint64_t slow_factor = 1;
 
   /// What chaos does to the job with this submission ordinal.
@@ -55,18 +52,11 @@ struct ChaosPlan {
     std::uint64_t slow_factor = 1;  ///< 1 = unaffected
   };
 
-  bool empty() const {
-    return malformed.empty() && malformed_p == 0.0 && trap.empty() &&
-           trap_p == 0.0 && slow.empty() && slow_p == 0.0;
-  }
-
   /// Stateless, order-independent decision for one submission ordinal.
   Decision Decide(std::uint64_t ordinal) const;
 
   /// Parses the grammar above; an empty spec yields an empty plan.
   static StatusOr<ChaosPlan> Parse(std::string_view spec);
-  /// Canonical spec string ("" for an empty plan).
-  std::string ToString() const;
 };
 
 }  // namespace dgc::serve

@@ -130,12 +130,25 @@ ArgParser& ArgParser::AddIntList(std::string long_name, std::string help,
 }
 
 ArgParser& ArgParser::AddDouble(std::string long_name, char short_name,
-                                std::string help, double* out, bool required) {
+                                std::string help, double* out, double lo,
+                                double hi, bool hi_closed) {
   DGC_CHECK(out != nullptr);
   return Add({std::move(long_name), short_name, std::move(help), "<x>",
-              StrFormat("%g", *out), required,
-              [out](std::string_view, std::string_view value) -> Status {
-                DGC_ASSIGN_OR_RETURN(*out, ParseDouble(value));
+              StrFormat("%g", *out), false,
+              [out, lo, hi, hi_closed](std::string_view spelled,
+                                       std::string_view value) -> Status {
+                DGC_ASSIGN_OR_RETURN(const double v, ParseDouble(value));
+                // Written so that NaN, which compares false, fails.
+                if (!(v > lo && (v < hi || (hi_closed && v == hi)))) {
+                  value = TrimWhitespace(value);
+                  return Status(
+                      ErrorCode::kInvalidArgument,
+                      StrFormat("%.*s must be in (%g, %g%c, got %.*s",
+                                int(spelled.size()), spelled.data(), lo, hi,
+                                hi_closed ? ']' : ')', int(value.size()),
+                                value.data()));
+                }
+                *out = v;
                 return Status::Ok();
               }});
 }

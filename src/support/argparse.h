@@ -9,10 +9,11 @@
 // on|off switches and repeated options (the last one wins); a positional
 // argument is an error. Unsigned integer options bind straight to their
 // uint32/uint64 fields with a minimum, and the field type's maximum bounds
-// them from above. Usage() prints each option's default, read from its
-// field when the option is registered. Parsing never touches global state,
-// so many instances can parse "their" argv in the same process — exactly
-// what ensemble execution needs.
+// them from above; real options are bounded by an interval. Usage() prints
+// each option's default, read from its field when the option is
+// registered. Parsing never touches global state, so many instances can
+// parse "their" argv in the same process — exactly what ensemble execution
+// needs.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +49,12 @@ class ArgParser {
   /// like a uint32 AddInt option.
   ArgParser& AddIntList(std::string long_name, std::string help,
                         std::vector<std::uint32_t>* out, std::uint32_t min);
+  /// A real value above `lo` and below `hi` (or up to `hi` itself when
+  /// `hi_closed`); anything else, NaN included, is an error naming the flag
+  /// as the user spelled it ("-a must be in (0, 1), got nan").
   ArgParser& AddDouble(std::string long_name, char short_name,
-                       std::string help, double* out, bool required = false);
+                       std::string help, double* out, double lo, double hi,
+                       bool hi_closed = false);
   /// Boolean flag: present → true.
   ArgParser& AddFlag(std::string long_name, char short_name, std::string help,
                      bool* out);

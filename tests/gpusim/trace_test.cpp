@@ -61,7 +61,9 @@ TEST(Trace, MemoryEventsCarrySectors) {
     if (e.kind == DeviceOp::Kind::kLoad && e.sectors > 0) {
       saw_mem_with_sectors = true;
     }
-    if (e.kind == DeviceOp::Kind::kWork) EXPECT_EQ(e.sectors, 0u);
+    if (e.kind == DeviceOp::Kind::kWork) {
+      EXPECT_EQ(e.sectors, 0u);
+    }
   }
   EXPECT_TRUE(saw_mem_with_sectors);
 }

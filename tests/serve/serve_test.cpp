@@ -208,10 +208,15 @@ TEST(RetryPolicy, BackoffDoublesPerAttempt) {
 // ---------------------------------------------------------------------------
 // Chaos
 
-TEST(Chaos, ParseRoundTripAndOrdinalDecisions) {
+TEST(Chaos, ParseAndOrdinalDecisions) {
   auto plan = ChaosPlan::Parse("seed@9;malformed@2;trap@3,4;slow@5.x8");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(plan->ToString(), "seed@9;malformed@2;trap@3,4;slow@5.x8");
+  EXPECT_EQ(plan->seed, 9u);
+  EXPECT_EQ(plan->malformed.ordinals, (std::vector<std::uint64_t>{2}));
+  EXPECT_EQ(plan->trap.ordinals, (std::vector<std::uint64_t>{3, 4}));
+  EXPECT_EQ(plan->slow.ordinals, (std::vector<std::uint64_t>{5}));
+  EXPECT_EQ(plan->slow_factor, 8u);
+  EXPECT_EQ(plan->malformed.p + plan->trap.p + plan->slow.p, 0.0);
   EXPECT_TRUE(plan->Decide(2).malformed);
   EXPECT_FALSE(plan->Decide(1).malformed);
   EXPECT_TRUE(plan->Decide(3).trap);
@@ -241,6 +246,11 @@ TEST(Chaos, ParseErrors) {
   EXPECT_FALSE(ChaosPlan::Parse("slow@2.x0").ok());     // factor < 1
   EXPECT_FALSE(ChaosPlan::Parse("nonsense@1").ok());
   EXPECT_FALSE(ChaosPlan::Parse("malformed@p200").ok());
+  EXPECT_EQ(ChaosPlan::Parse("slow@p200.x2").status().message(),
+            "bad chaos clause 'slow@p200.x2': probability must be p<0..100>");
+  EXPECT_EQ(ChaosPlan::Parse("trap@0").status().message(),
+            "bad chaos clause 'trap@0': ordinals are 1-based positive "
+            "integers");
 }
 
 // ---------------------------------------------------------------------------

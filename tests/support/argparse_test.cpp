@@ -105,9 +105,31 @@ TEST(ArgParser, UnexpectedPositionalFails) {
 TEST(ArgParser, DoubleOption) {
   double rate = 0;
   ArgParser p;
-  p.AddDouble("rate", 'r', "sample rate", &rate);
+  p.AddDouble("rate", 'r', "sample rate", &rate, 0.0, 1.0);
   ASSERT_TRUE(p.Parse({"-r", "0.25"}).ok());
   EXPECT_DOUBLE_EQ(rate, 0.25);
+}
+
+// A real option's interval rejects NaN like any other value outside it,
+// and the error names the flag as typed.
+TEST(ArgParser, BoundedDoublesRejectNanAndNameTheFlag) {
+  double damping = 0.85, headroom = 90;
+  ArgParser p;
+  p.AddDouble("damping", 'a', "damping", &damping, 0.0, 1.0)
+      .AddDouble("headroom", 0, "percent", &headroom, 0.0, 100.0,
+                 /*hi_closed=*/true);
+  EXPECT_EQ(p.Parse({"-a", "nan"}).message(), "-a must be in (0, 1), got nan");
+  EXPECT_EQ(p.Parse({"-a", "1"}).message(), "-a must be in (0, 1), got 1");
+  EXPECT_EQ(p.Parse({"--damping=0"}).message(),
+            "--damping must be in (0, 1), got 0");
+  EXPECT_EQ(p.Parse({"--headroom", "nan"}).message(),
+            "--headroom must be in (0, 100], got nan");
+  EXPECT_EQ(p.Parse({"--headroom", "100.5"}).message(),
+            "--headroom must be in (0, 100], got 100.5");
+  EXPECT_DOUBLE_EQ(damping, 0.85);  // a rejected value is not stored
+  ASSERT_TRUE(p.Parse({"-a", "0.5", "--headroom", "100"}).ok());
+  EXPECT_DOUBLE_EQ(damping, 0.5);
+  EXPECT_DOUBLE_EQ(headroom, 100.0);
 }
 
 TEST(ArgParser, LastOccurrenceWins) {
@@ -178,7 +200,7 @@ TEST(ArgParser, UsageShowsEachDefault) {
       .AddString("log", 0, "log path", &log)
       .AddInt("memory-scale", 'm', "scale divisor", &scale, 1)
       .AddInt("seed", 0, "seed", &seed)
-      .AddDouble("headroom", 0, "percent", &headroom)
+      .AddDouble("headroom", 0, "percent", &headroom, 0.0, 100.0, true)
       .AddFlag("stats", 0, "print stats", &stats)
       .AddSwitch("share-data", "share inputs", &share);
   scale = 7;  // defaults are read at registration

@@ -27,7 +27,6 @@
 #include "serve/scheduler.h"
 #include "serve/stream.h"
 #include "support/argparse.h"
-#include "support/str.h"
 #include "support/units.h"
 
 using namespace dgc;
@@ -154,7 +153,7 @@ int main(int argc, char** argv) {
               &config.admission.default_estimate, 1)
       .AddDouble("headroom", 0,
                  "device memory the packer may plan into, percent (0, 100]",
-                 &headroom)
+                 &headroom, 0.0, 100.0, /*hi_closed=*/true)
       .AddSwitch("share-data", "share read-only inputs across identical jobs",
                  &config.share_data)
       .AddInt("job-attempts", 0, "service-level attempts per job",
@@ -199,10 +198,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (!parsed.ok()) return usage_error(parsed.ToString());
-  if (!(headroom > 0.0 && headroom <= 100.0)) {  // NaN fails too
-    return usage_error(
-        StrFormat("--headroom must be in (0, 100], got %g", headroom));
-  }
   config.admission.headroom = headroom / 100.0;
   auto spec = sim::DeviceSpec::FromName(device_name, memory_scale);
   if (!spec.ok()) return usage_error(spec.status().ToString());
