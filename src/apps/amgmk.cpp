@@ -1,8 +1,6 @@
 #include "apps/amgmk.h"
 
 #include <cmath>
-#include <map>
-#include <mutex>
 
 #include "apps/common.h"
 #include "dgcf/rpc.h"
@@ -121,27 +119,17 @@ AmgData GenerateAmgData(const AmgParams& params) {
 std::uint64_t AmgHostReference(const AmgParams& params) {
   using Key = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
                          std::uint32_t, std::uint64_t>;
-  // Guarded: concurrent sweep points verify against the cache (a miss
-  // recomputes outside the lock — deterministic, so duplicates agree).
-  static std::mutex memo_mutex;
-  static std::map<Key, std::uint64_t> memo;
   const Key key{params.nx, params.ny, params.nz, params.sweeps, params.seed};
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex);
-    if (auto it = memo.find(key); it != memo.end()) return it->second;
-  }
-
-  const AmgData data = GenerateAmgData(params);
-  std::vector<double> u = data.u;
-  std::vector<double> v(u.size());
-  for (std::uint32_t s = 0; s < params.sweeps; ++s) {
-    HostRelax(data, u, v);
-    std::swap(u, v);
-  }
-  const std::uint64_t h = HashVector(u.data(), u.size());
-  std::lock_guard<std::mutex> lock(memo_mutex);
-  memo.emplace(key, h);
-  return h;
+  return Memoized(key, [&params] {
+    const AmgData data = GenerateAmgData(params);
+    std::vector<double> u = data.u;
+    std::vector<double> v(u.size());
+    for (std::uint32_t s = 0; s < params.sweeps; ++s) {
+      HostRelax(data, u, v);
+      std::swap(u, v);
+    }
+    return HashVector(u.data(), u.size());
+  });
 }
 
 namespace {
@@ -214,57 +202,24 @@ DeviceTask<int> AmgUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
   const std::uint64_t rows = params.rows();
 
   const AmgData data = GenerateAmgData(params);
-  const std::uint64_t sizes[7] = {
-      data.row_ptr.size() * sizeof(std::uint32_t),
-      data.col.size() * sizeof(std::int32_t),
-      data.val.size() * sizeof(double),
-      rows * sizeof(double),  // diag
-      rows * sizeof(double),  // u
-      rows * sizeof(double),  // v
-      rows * sizeof(double),  // f
+  // The matrix (row_ptr/col/val/diag) and rhs f are read-only input; the
+  // ping-pong vectors u and v are written every sweep and stay private
+  // (u is also seed data, so every instance fills its own copy).
+  const std::vector<AppBuffer> layout{
+      Input(data.row_ptr),
+      Input(data.col),
+      Input(data.val),
+      Input(data.diag),
+      Private(rows * sizeof(double)),  // u
+      Private(rows * sizeof(double)),  // v
+      Input(data.f),
   };
-  std::vector<sim::DeviceBuffer> buffers(7);
-  bool fill_inputs = true;
-  if (env.share_data) {
-    // The matrix (row_ptr/col/val/diag) and rhs f are read-only input; the
-    // ping-pong vectors u and v are written every sweep and stay private
-    // (u is also seed data, so every instance fills its own copy).
-    const std::uint64_t key = SharedContentKey(
-        "amgmk", {params.nx, params.ny, params.nz, params.seed});
-    const std::vector<std::uint64_t> ro_sizes{sizes[0], sizes[1], sizes[2],
-                                              sizes[3], sizes[6]};
-    auto group = co_await env.libc->AcquireSharedGroup(ctx, key, ro_sizes,
-                                                       "amgmk");
-    if (!group.ok) co_return dgcf::kExitNoMem;
-    for (int b = 0; b < 4; ++b) buffers[b] = group.buffers[std::size_t(b)];
-    buffers[6] = group.buffers[4];
-    fill_inputs = group.first;
-    bool oom = false;
-    for (int b = 4; b < 6; ++b) {
-      buffers[b] = co_await env.libc->Malloc(ctx, sizes[b]);
-      if (buffers[b].host == nullptr) oom = true;
-    }
-    if (oom) {
-      for (int b = 0; b < 7; ++b) {
-        if (buffers[b].host != nullptr) {
-          co_await env.libc->Free(ctx, buffers[b].addr);
-        }
-      }
-      co_return dgcf::kExitNoMem;
-    }
-  } else {
-    for (int b = 0; b < 7; ++b) {
-      buffers[b] = co_await env.libc->Malloc(ctx, sizes[b]);
-    }
-    for (const auto& b : buffers) {
-      if (b.host == nullptr) {
-        for (const auto& f : buffers) {
-          if (f.host != nullptr) co_await env.libc->Free(ctx, f.addr);
-        }
-        co_return dgcf::kExitNoMem;
-      }
-    }
-  }
+  const std::uint64_t key =
+      SharedContentKey("amgmk", {params.nx, params.ny, params.nz, params.seed});
+  const AppBuffers setup =
+      co_await AllocateAppBuffers(env, ctx, layout, key, "amgmk");
+  if (!setup.ok) co_return dgcf::kExitNoMem;
+  const std::vector<sim::DeviceBuffer>& buffers = setup.buffers;
 
   AmgView view;
   view.params = params;
@@ -276,20 +231,10 @@ DeviceTask<int> AmgUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
   view.v = buffers[5].Typed<double>();
   view.f = buffers[6].Typed<double>();
 
-  if (fill_inputs) {
-    std::copy(data.row_ptr.begin(), data.row_ptr.end(), view.row_ptr.host);
-    std::copy(data.col.begin(), data.col.end(), view.col.host);
-    std::copy(data.val.begin(), data.val.end(), view.val.host);
-    std::copy(data.diag.begin(), data.diag.end(), view.diag.host);
-    std::copy(data.f.begin(), data.f.end(), view.f.host);
-  }
   // u is per-instance seed state even in shared mode.
   std::copy(data.u.begin(), data.u.end(), view.u.host);
-  if (fill_inputs) {
-    co_await ctx.Work(params.DeviceBytes() / 64);
-  } else {
-    co_await ctx.Work((sizes[4] + sizes[5]) / 64);
-  }
+  co_await ctx.Work(setup.fill_inputs ? params.DeviceBytes() / 64
+                                       : setup.private_bytes / 64);
 
   // The measured kernel: `sweeps` relaxations, ping-ponging u and v.
   DevicePtr<double> u_in = view.u, u_out = view.v;
@@ -324,7 +269,7 @@ DeviceTask<int> AmgUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
                   (unsigned long long)rows, params.sweeps,
                   (unsigned long long)verification));
   }
-  for (const auto& b : buffers) co_await env.libc->Free(ctx, b.addr);
+  co_await FreeAppBuffers(env, ctx, buffers);
   co_return verification == AmgHostReference(params) ? dgcf::kExitOk : 1;
 }
 

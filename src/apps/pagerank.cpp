@@ -1,8 +1,6 @@
 #include "apps/pagerank.h"
 
 #include <cmath>
-#include <map>
-#include <mutex>
 
 #include "apps/common.h"
 #include "dgcf/rpc.h"
@@ -100,28 +98,18 @@ PrData GeneratePrData(const PrParams& params) {
 std::uint64_t PrHostReference(const PrParams& params) {
   using Key = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
                          std::int64_t, std::uint64_t>;
-  // Guarded: concurrent sweep points verify against the cache (a miss
-  // recomputes outside the lock — deterministic, so duplicates agree).
-  static std::mutex memo_mutex;
-  static std::map<Key, std::uint64_t> memo;
   const Key key{params.n_nodes, params.avg_degree, params.iterations,
                 std::llround(params.damping * 1e9), params.seed};
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex);
-    if (auto it = memo.find(key); it != memo.end()) return it->second;
-  }
-
-  const PrData data = GeneratePrData(params);
-  std::vector<double> r = data.rank;
-  std::vector<double> next(r.size());
-  for (std::uint32_t it = 0; it < params.iterations; ++it) {
-    HostPropagate(params, data, r, next);
-    std::swap(r, next);
-  }
-  const std::uint64_t h = HashRanks(r.data(), r.size());
-  std::lock_guard<std::mutex> lock(memo_mutex);
-  memo.emplace(key, h);
-  return h;
+  return Memoized(key, [&params] {
+    const PrData data = GeneratePrData(params);
+    std::vector<double> r = data.rank;
+    std::vector<double> next(r.size());
+    for (std::uint32_t it = 0; it < params.iterations; ++it) {
+      HostPropagate(params, data, r, next);
+      std::swap(r, next);
+    }
+    return HashRanks(r.data(), r.size());
+  });
 }
 
 namespace {
@@ -173,53 +161,22 @@ DeviceTask<int> PrUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
   const std::uint64_t n = params.n_nodes;
 
   const PrData data = GeneratePrData(params);
-  const std::uint64_t sizes[5] = {
-      data.row_ptr.size() * sizeof(std::uint32_t),
-      data.src.size() * sizeof(std::uint32_t),
-      n * sizeof(std::uint32_t),
-      n * sizeof(double),
-      n * sizeof(double),
+  // The graph (CSR row_ptr/src/out_degree) is read-only input; the rank
+  // ping-pong buffers are written every iteration and stay per-instance.
+  const std::vector<AppBuffer> layout{
+      Input(data.row_ptr),
+      Input(data.src),
+      Input(data.out_degree),
+      Private(n * sizeof(double)),  // rank_in
+      Private(n * sizeof(double)),  // rank_out
   };
-  std::vector<sim::DeviceBuffer> buffers(5);
-  bool fill_inputs = true;
-  if (env.share_data) {
-    // The graph (CSR row_ptr/src/out_degree) is read-only input; the rank
-    // ping-pong buffers are written every iteration and stay per-instance.
-    const std::uint64_t key = SharedContentKey(
-        "pagerank", {std::uint64_t(params.n_nodes), params.avg_degree,
-                     params.seed});
-    const std::vector<std::uint64_t> ro_sizes(sizes, sizes + 3);
-    auto group = co_await env.libc->AcquireSharedGroup(ctx, key, ro_sizes,
-                                                       "pagerank");
-    if (!group.ok) co_return dgcf::kExitNoMem;
-    for (int b = 0; b < 3; ++b) buffers[b] = group.buffers[std::size_t(b)];
-    fill_inputs = group.first;
-    bool oom = false;
-    for (int b = 3; b < 5; ++b) {
-      buffers[b] = co_await env.libc->Malloc(ctx, sizes[b]);
-      if (buffers[b].host == nullptr) oom = true;
-    }
-    if (oom) {
-      for (int b = 0; b < 5; ++b) {
-        if (buffers[b].host != nullptr) {
-          co_await env.libc->Free(ctx, buffers[b].addr);
-        }
-      }
-      co_return dgcf::kExitNoMem;
-    }
-  } else {
-    for (int b = 0; b < 5; ++b) {
-      buffers[b] = co_await env.libc->Malloc(ctx, sizes[b]);
-    }
-    for (const auto& b : buffers) {
-      if (b.host == nullptr) {
-        for (const auto& f : buffers) {
-          if (f.host != nullptr) co_await env.libc->Free(ctx, f.addr);
-        }
-        co_return dgcf::kExitNoMem;
-      }
-    }
-  }
+  const std::uint64_t key = SharedContentKey(
+      "pagerank",
+      {std::uint64_t(params.n_nodes), params.avg_degree, params.seed});
+  const AppBuffers setup =
+      co_await AllocateAppBuffers(env, ctx, layout, key, "pagerank");
+  if (!setup.ok) co_return dgcf::kExitNoMem;
+  const std::vector<sim::DeviceBuffer>& buffers = setup.buffers;
 
   PrView view;
   view.params = params;
@@ -229,20 +186,11 @@ DeviceTask<int> PrUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
   view.rank_in = buffers[3].Typed<double>();
   view.rank_out = buffers[4].Typed<double>();
 
-  if (fill_inputs) {
-    std::copy(data.row_ptr.begin(), data.row_ptr.end(), view.row_ptr.host);
-    std::copy(data.src.begin(), data.src.end(), view.src.host);
-    std::copy(data.out_degree.begin(), data.out_degree.end(),
-              view.out_degree.host);
-  }
   // The rank seed is per-instance state (the ping-pong buffers are private
   // even in shared mode), so every instance fills it.
   std::copy(data.rank.begin(), data.rank.end(), view.rank_in.host);
-  if (fill_inputs) {
-    co_await ctx.Work(params.DeviceBytes() / 64);
-  } else {
-    co_await ctx.Work((sizes[3] + sizes[4]) / 64);
-  }
+  co_await ctx.Work(setup.fill_inputs ? params.DeviceBytes() / 64
+                                       : setup.private_bytes / 64);
 
   DevicePtr<double> rank_in = view.rank_in, rank_out = view.rank_out;
   for (std::uint32_t it = 0; it < params.iterations; ++it) {
@@ -270,7 +218,7 @@ DeviceTask<int> PrUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
                        (unsigned long long)n, params.iterations,
                        (unsigned long long)verification));
   }
-  for (const auto& b : buffers) co_await env.libc->Free(ctx, b.addr);
+  co_await FreeAppBuffers(env, ctx, buffers);
   co_return verification == PrHostReference(params) ? dgcf::kExitOk : 1;
 }
 

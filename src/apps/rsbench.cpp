@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
 
 #include "apps/common.h"
 #include "dgcf/rpc.h"
@@ -123,48 +121,39 @@ void RsSampleLookup(const RsParams& params, std::uint64_t lookup,
 std::uint64_t RsHostReference(const RsParams& params) {
   using Key = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
                          std::uint32_t, std::uint32_t, std::uint64_t>;
-  // Guarded: concurrent sweep points verify against the cache (a miss
-  // recomputes outside the lock — deterministic, so duplicates agree).
-  static std::mutex memo_mutex;
-  static std::map<Key, std::uint64_t> memo;
   const Key key{params.n_nuclides, params.n_windows, params.poles_per_window,
                 params.n_materials, params.n_lookups, params.seed};
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex);
-    if (auto it = memo.find(key); it != memo.end()) return it->second;
-  }
-
-  const RsData data = GenerateRsData(params);
-  std::uint64_t verification = 0;
-  for (std::uint64_t l = 0; l < params.n_lookups; ++l) {
-    double e;
-    std::uint32_t mat;
-    RsSampleLookup(params, l, e, mat);
-    const std::uint32_t window = std::min(
-        std::uint32_t(e * params.n_windows), params.n_windows - 1);
-    double sig_t = 0, sig_a = 0;
-    for (std::uint32_t k = data.mat_offset[mat]; k < data.mat_offset[mat + 1];
-         ++k) {
-      const std::uint32_t n = data.mat_nuclide[k];
-      const double density = data.mat_density[k];
-      const std::uint64_t w = std::uint64_t(n) * params.n_windows + window;
-      const double* fit = &data.fits[w * RsData::kFitDoubles];
-      double t = fit[0] + fit[1] * e + fit[2] * e * e;
-      double a = 0.5 * t;
-      for (std::uint32_t p = 0; p < params.poles_per_window; ++p) {
-        EvaluatePole(e,
-                     &data.poles[(w * params.poles_per_window + p) *
-                                 RsData::kPoleDoubles],
-                     t, a);
+  return Memoized(key, [&params] {
+    const RsData data = GenerateRsData(params);
+    std::uint64_t verification = 0;
+    for (std::uint64_t l = 0; l < params.n_lookups; ++l) {
+      double e;
+      std::uint32_t mat;
+      RsSampleLookup(params, l, e, mat);
+      const std::uint32_t window = std::min(
+          std::uint32_t(e * params.n_windows), params.n_windows - 1);
+      double sig_t = 0, sig_a = 0;
+      for (std::uint32_t k = data.mat_offset[mat]; k < data.mat_offset[mat + 1];
+           ++k) {
+        const std::uint32_t n = data.mat_nuclide[k];
+        const double density = data.mat_density[k];
+        const std::uint64_t w = std::uint64_t(n) * params.n_windows + window;
+        const double* fit = &data.fits[w * RsData::kFitDoubles];
+        double t = fit[0] + fit[1] * e + fit[2] * e * e;
+        double a = 0.5 * t;
+        for (std::uint32_t p = 0; p < params.poles_per_window; ++p) {
+          EvaluatePole(e,
+                       &data.poles[(w * params.poles_per_window + p) *
+                                   RsData::kPoleDoubles],
+                       t, a);
+        }
+        sig_t += density * t;
+        sig_a += density * a;
       }
-      sig_t += density * t;
-      sig_a += density * a;
+      verification ^= HashSigmas(sig_t, sig_a);
     }
-    verification ^= HashSigmas(sig_t, sig_a);
-  }
-  std::lock_guard<std::mutex> lock(memo_mutex);
-  memo.emplace(key, verification);
-  return verification;
+    return verification;
+  });
 }
 
 namespace {
@@ -228,48 +217,23 @@ DeviceTask<int> RsUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
   ThreadCtx& ctx = *team.hw;
 
   const RsData data = GenerateRsData(params);
-  const std::uint64_t sizes[6] = {
-      data.poles.size() * sizeof(double),
-      data.fits.size() * sizeof(double),
-      data.mat_offset.size() * sizeof(std::uint32_t),
-      data.mat_nuclide.size() * sizeof(std::uint32_t),
-      data.mat_density.size() * sizeof(double),
-      params.n_lookups * sizeof(std::uint64_t),
+  // Poles, fits and material tables are read-only input; only the result
+  // buffer stays per-instance.
+  const std::vector<AppBuffer> layout{
+      Input(data.poles),
+      Input(data.fits),
+      Input(data.mat_offset),
+      Input(data.mat_nuclide),
+      Input(data.mat_density),
+      Private(params.n_lookups * sizeof(std::uint64_t)),
   };
-  std::vector<sim::DeviceBuffer> buffers(6);
-  bool fill_inputs = true;
-  if (env.share_data) {
-    // Poles, fits, and material tables are read-only input; only the result
-    // buffer (buffers[5]) stays per-instance.
-    const std::uint64_t key = SharedContentKey(
-        "rsbench", {params.n_nuclides, params.n_windows,
-                    params.poles_per_window, params.n_materials, params.seed});
-    const std::vector<std::uint64_t> ro_sizes(sizes, sizes + 5);
-    auto group = co_await env.libc->AcquireSharedGroup(ctx, key, ro_sizes,
-                                                       "rsbench");
-    if (!group.ok) co_return dgcf::kExitNoMem;
-    for (int b = 0; b < 5; ++b) buffers[b] = group.buffers[std::size_t(b)];
-    fill_inputs = group.first;
-    buffers[5] = co_await env.libc->Malloc(ctx, sizes[5]);
-    if (buffers[5].host == nullptr) {
-      for (const auto& f : group.buffers) {
-        if (f.host != nullptr) co_await env.libc->Free(ctx, f.addr);
-      }
-      co_return dgcf::kExitNoMem;
-    }
-  } else {
-    for (int b = 0; b < 6; ++b) {
-      buffers[b] = co_await env.libc->Malloc(ctx, sizes[b]);
-    }
-    for (const auto& b : buffers) {
-      if (b.host == nullptr) {
-        for (const auto& f : buffers) {
-          if (f.host != nullptr) co_await env.libc->Free(ctx, f.addr);
-        }
-        co_return dgcf::kExitNoMem;
-      }
-    }
-  }
+  const std::uint64_t key = SharedContentKey(
+      "rsbench", {params.n_nuclides, params.n_windows, params.poles_per_window,
+                  params.n_materials, params.seed});
+  const AppBuffers setup =
+      co_await AllocateAppBuffers(env, ctx, layout, key, "rsbench");
+  if (!setup.ok) co_return dgcf::kExitNoMem;
+  const std::vector<sim::DeviceBuffer>& buffers = setup.buffers;
 
   RsView v;
   v.params = params;
@@ -280,19 +244,8 @@ DeviceTask<int> RsUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
   v.mat_density = buffers[4].Typed<double>();
   v.out = buffers[5].Typed<std::uint64_t>();
 
-  if (fill_inputs) {
-    std::copy(data.poles.begin(), data.poles.end(), v.poles.host);
-    std::copy(data.fits.begin(), data.fits.end(), v.fits.host);
-    std::copy(data.mat_offset.begin(), data.mat_offset.end(),
-              v.mat_offset.host);
-    std::copy(data.mat_nuclide.begin(), data.mat_nuclide.end(),
-              v.mat_nuclide.host);
-    std::copy(data.mat_density.begin(), data.mat_density.end(),
-              v.mat_density.host);
-    co_await ctx.Work(params.DeviceBytes() / 64);
-  } else {
-    co_await ctx.Work(sizes[5] / 64);
-  }
+  co_await ctx.Work(setup.fill_inputs ? params.DeviceBytes() / 64
+                                       : setup.private_bytes / 64);
 
   co_await ompx::ParallelFor(
       team, params.n_lookups,
@@ -313,7 +266,7 @@ DeviceTask<int> RsUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
         ctx, StrFormat("rsbench: %u lookups, verification %016llx\n",
                        params.n_lookups, (unsigned long long)verification));
   }
-  for (const auto& b : buffers) co_await env.libc->Free(ctx, b.addr);
+  co_await FreeAppBuffers(env, ctx, buffers);
   co_return verification == RsHostReference(params) ? dgcf::kExitOk : 1;
 }
 

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include <map>
-#include <mutex>
-
 #include "apps/common.h"
 #include "dgcf/rpc.h"
 #include "support/units.h"
@@ -187,68 +184,56 @@ std::uint64_t HashMacroXs(const double macro[kC]) {
 }  // namespace
 
 std::uint64_t XsHostReference(const XsParams& params) {
-  // Memoized: the ensemble harness re-verifies many instances against the
-  // same handful of parameter sets.
   using Key = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
                          std::uint32_t, std::uint64_t>;
-  // Guarded: concurrent sweep points verify against the cache. A miss
-  // computes outside the lock (worst case two workers duplicate the same
-  // deterministic value).
-  static std::mutex memo_mutex;
-  static std::map<Key, std::uint64_t> memo;
   const Key key{params.n_isotopes, params.n_gridpoints, params.n_materials,
                 params.n_lookups, params.seed};
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex);
-    if (auto it = memo.find(key); it != memo.end()) return it->second;
-  }
+  return Memoized(key, [&params] {
+    // The reference uses the canonical per-nuclide index search directly —
+    // every acceleration structure must locate the same bracketing index, so
+    // the hash is identical for all grid types (and the memo key needs none).
+    XsParams canonical = params;
+    canonical.grid_type = XsGridType::kNuclide;
+    const XsData data = GenerateXsData(canonical);
+    const std::uint32_t grid = params.n_gridpoints;
+    const auto [emin_it, emax_it] = std::minmax_element(
+        data.nuclide_energy.begin(), data.nuclide_energy.end());
+    const double e0 = *emin_it;
+    const double e_span = *emax_it - e0;
 
-  // The reference uses the canonical per-nuclide index search directly —
-  // every acceleration structure must locate the same bracketing index, so
-  // the hash is identical for all grid types (and the memo key needs none).
-  XsParams canonical = params;
-  canonical.grid_type = XsGridType::kNuclide;
-  const XsData data = GenerateXsData(canonical);
-  const std::uint32_t grid = params.n_gridpoints;
-  const auto [emin_it, emax_it] = std::minmax_element(
-      data.nuclide_energy.begin(), data.nuclide_energy.end());
-  const double e0 = *emin_it;
-  const double e_span = *emax_it - e0;
+    std::uint64_t verification = 0;
+    for (std::uint64_t l = 0; l < params.n_lookups; ++l) {
+      double r;
+      std::uint32_t mat;
+      XsSampleLookup(params, l, r, mat);
+      const double e = e0 + r * e_span;
 
-  std::uint64_t verification = 0;
-  for (std::uint64_t l = 0; l < params.n_lookups; ++l) {
-    double r;
-    std::uint32_t mat;
-    XsSampleLookup(params, l, r, mat);
-    const double e = e0 + r * e_span;
-
-    double macro[kC] = {0, 0, 0, 0, 0};
-    for (std::uint32_t k = data.mat_offset[mat]; k < data.mat_offset[mat + 1];
-         ++k) {
-      const std::uint32_t n = data.mat_nuclide[k];
-      const double density = data.mat_density[k];
-      const double* e_grid = &data.nuclide_energy[std::size_t(n) * grid];
-      // Canonical: largest idx with e_grid[idx] <= e, clamped to grid-2.
-      std::uint32_t lo = 0, hi = grid - 1;
-      while (hi - lo > 1) {
-        const std::uint32_t mid = (lo + hi) / 2;
-        if (e_grid[mid] <= e) lo = mid; else hi = mid;
+      double macro[kC] = {0, 0, 0, 0, 0};
+      for (std::uint32_t k = data.mat_offset[mat]; k < data.mat_offset[mat + 1];
+           ++k) {
+        const std::uint32_t n = data.mat_nuclide[k];
+        const double density = data.mat_density[k];
+        const double* e_grid = &data.nuclide_energy[std::size_t(n) * grid];
+        // Canonical: largest idx with e_grid[idx] <= e, clamped to grid-2.
+        std::uint32_t lo = 0, hi = grid - 1;
+        while (hi - lo > 1) {
+          const std::uint32_t mid = (lo + hi) / 2;
+          if (e_grid[mid] <= e) lo = mid; else hi = mid;
+        }
+        const std::int32_t ig = std::int32_t(std::min(lo, grid - 2));
+        const double f =
+            (e - e_grid[ig]) / (e_grid[ig + 1] - e_grid[ig]);
+        const double* xs =
+            &data.nuclide_xs[(std::size_t(n) * grid + std::size_t(ig)) * kC];
+        const double* xs_hi = xs + kC;
+        for (std::uint32_t c = 0; c < kC; ++c) {
+          macro[c] += density * (xs[c] + f * (xs_hi[c] - xs[c]));
+        }
       }
-      const std::int32_t ig = std::int32_t(std::min(lo, grid - 2));
-      const double f =
-          (e - e_grid[ig]) / (e_grid[ig + 1] - e_grid[ig]);
-      const double* xs =
-          &data.nuclide_xs[(std::size_t(n) * grid + std::size_t(ig)) * kC];
-      const double* xs_hi = xs + kC;
-      for (std::uint32_t c = 0; c < kC; ++c) {
-        macro[c] += density * (xs[c] + f * (xs_hi[c] - xs[c]));
-      }
+      verification ^= HashMacroXs(macro);
     }
-    verification ^= HashMacroXs(macro);
-  }
-  std::lock_guard<std::mutex> lock(memo_mutex);
-  memo.emplace(key, verification);
-  return verification;
+    return verification;
+  });
 }
 
 namespace {
@@ -367,64 +352,27 @@ DeviceTask<int> XsUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
   // --- Initialization (the app generates its own data, like XSBench) ------
   const XsData data = GenerateXsData(params);
 
-  // Optional acceleration arrays allocate only when non-empty.
-  std::vector<sim::DeviceBuffer> buffers(8);
-  const std::uint64_t sizes[8] = {
-      data.nuclide_energy.size() * sizeof(double),
-      data.nuclide_xs.size() * sizeof(double),
-      data.union_energy.size() * sizeof(double),
-      data.union_index.size() * sizeof(std::int32_t),
-      data.mat_offset.size() * sizeof(std::uint32_t),
-      data.mat_nuclide.size() * sizeof(std::uint32_t),
-      data.mat_density.size() * sizeof(double),
-      params.n_lookups * sizeof(std::uint64_t),
+  // Everything but the result buffer is read-only input; the optional
+  // acceleration arrays are zero-size (never allocated) when unused.
+  const std::vector<AppBuffer> layout{
+      Input(data.nuclide_energy),
+      Input(data.nuclide_xs),
+      Input(data.union_energy),
+      Input(data.union_index),
+      Input(data.mat_offset),
+      Input(data.mat_nuclide),
+      Input(data.mat_density),
+      Private(params.n_lookups * sizeof(std::uint64_t)),
+      Input(data.hash_index),
   };
-  sim::DeviceBuffer hash_buf{};
-  const std::uint64_t hash_bytes =
-      data.hash_index.size() * sizeof(std::int32_t);
-  // Everything but the result buffer (buffers[7]) is read-only input. With
-  // sharing on, those arrays live in content-keyed shared segments: one
-  // physical copy per identical parameter set across co-resident instances.
-  bool fill_inputs = true;
-  if (env.share_data) {
-    const std::uint64_t key = SharedContentKey(
-        "xsbench", {params.n_isotopes, params.n_gridpoints,
-                    params.n_materials, params.hash_bins,
-                    std::uint64_t(params.grid_type), params.seed});
-    std::vector<std::uint64_t> ro_sizes(sizes, sizes + 7);
-    ro_sizes.push_back(hash_bytes);
-    auto group = co_await env.libc->AcquireSharedGroup(ctx, key, ro_sizes,
-                                                       "xsbench");
-    if (!group.ok) co_return dgcf::kExitNoMem;
-    for (int b = 0; b < 7; ++b) buffers[std::size_t(b)] = group.buffers[std::size_t(b)];
-    hash_buf = group.buffers[7];
-    fill_inputs = group.first;
-    buffers[7] = co_await env.libc->Malloc(ctx, sizes[7]);
-    if (buffers[7].host == nullptr) {
-      for (const auto& f : group.buffers) {
-        if (f.host != nullptr) co_await env.libc->Free(ctx, f.addr);
-      }
-      co_return dgcf::kExitNoMem;
-    }
-  } else {
-    bool oom = false;
-    for (int b = 0; b < 8; ++b) {
-      if (sizes[b] == 0) continue;
-      buffers[std::size_t(b)] = co_await env.libc->Malloc(ctx, sizes[b]);
-      if (buffers[std::size_t(b)].host == nullptr) oom = true;
-    }
-    if (!data.hash_index.empty()) {
-      hash_buf = co_await env.libc->Malloc(ctx, hash_bytes);
-      if (hash_buf.host == nullptr) oom = true;
-    }
-    if (oom) {
-      for (const auto& f : buffers) {
-        if (f.host != nullptr) co_await env.libc->Free(ctx, f.addr);
-      }
-      if (hash_buf.host != nullptr) co_await env.libc->Free(ctx, hash_buf.addr);
-      co_return dgcf::kExitNoMem;
-    }
-  }
+  const std::uint64_t key = SharedContentKey(
+      "xsbench", {params.n_isotopes, params.n_gridpoints, params.n_materials,
+                  params.hash_bins, std::uint64_t(params.grid_type),
+                  params.seed});
+  const AppBuffers setup =
+      co_await AllocateAppBuffers(env, ctx, layout, key, "xsbench");
+  if (!setup.ok) co_return dgcf::kExitNoMem;
+  const std::vector<sim::DeviceBuffer>& buffers = setup.buffers;
 
   const auto [emin_it, emax_it] = std::minmax_element(
       data.nuclide_energy.begin(), data.nuclide_energy.end());
@@ -438,41 +386,17 @@ DeviceTask<int> XsUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
   v.nuclide_xs = buffers[1].Typed<double>();
   v.union_energy = buffers[2].Typed<double>();
   v.union_index = buffers[3].Typed<std::int32_t>();
-  v.hash_index = hash_buf.Typed<std::int32_t>();
+  v.hash_index = buffers[8].Typed<std::int32_t>();
   v.mat_offset = buffers[4].Typed<std::uint32_t>();
   v.mat_nuclide = buffers[5].Typed<std::uint32_t>();
   v.mat_density = buffers[6].Typed<double>();
   v.out = buffers[7].Typed<std::uint64_t>();
 
-  // Fill device data (initialization phase; charged as bulk work rather
-  // than per-element timed stores — see DESIGN.md §4). Attachers to shared
-  // segments skip the input fill — the materializer already did it — and
-  // pay only for their private result buffer.
-  if (fill_inputs) {
-    std::copy(data.nuclide_energy.begin(), data.nuclide_energy.end(),
-              v.nuclide_energy.host);
-    std::copy(data.nuclide_xs.begin(), data.nuclide_xs.end(),
-              v.nuclide_xs.host);
-    if (!data.union_energy.empty()) {
-      std::copy(data.union_energy.begin(), data.union_energy.end(),
-                v.union_energy.host);
-      std::copy(data.union_index.begin(), data.union_index.end(),
-                v.union_index.host);
-    }
-    if (!data.hash_index.empty()) {
-      std::copy(data.hash_index.begin(), data.hash_index.end(),
-                v.hash_index.host);
-    }
-    std::copy(data.mat_offset.begin(), data.mat_offset.end(),
-              v.mat_offset.host);
-    std::copy(data.mat_nuclide.begin(), data.mat_nuclide.end(),
-              v.mat_nuclide.host);
-    std::copy(data.mat_density.begin(), data.mat_density.end(),
-              v.mat_density.host);
-    co_await ctx.Work(params.DeviceBytes() / 64);
-  } else {
-    co_await ctx.Work(sizes[7] / 64);
-  }
+  // The input fill is charged as bulk work rather than per-element timed
+  // stores (DESIGN.md §4). Attachers to shared segments skip it — the
+  // materializer already filled them — and pay only for the result buffer.
+  co_await ctx.Work(setup.fill_inputs ? params.DeviceBytes() / 64
+                                       : setup.private_bytes / 64);
 
   // --- The measured kernel: lookups across the team's threads -------------
   co_await ompx::ParallelFor(
@@ -496,10 +420,7 @@ DeviceTask<int> XsUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
                        params.n_lookups, (unsigned long long)verification));
   }
 
-  for (const auto& b : buffers) {
-    if (b.host != nullptr) co_await env.libc->Free(ctx, b.addr);
-  }
-  if (hash_buf.host != nullptr) co_await env.libc->Free(ctx, hash_buf.addr);
+  co_await FreeAppBuffers(env, ctx, buffers);
   // Exit code encodes the verification outcome against the host reference.
   co_return verification == XsHostReference(params) ? dgcf::kExitOk : 1;
 }

@@ -27,7 +27,6 @@ void Barrier::ParticipantGone(std::uint64_t now, Engine& engine) {
 
 void Barrier::MaybeRelease(Engine& engine) {
   if (expected_ == 0 || waiters_.size() < expected_) return;
-  ++releases_;
   const std::uint64_t t = max_arrival_;
   max_arrival_ = 0;
   // WakeAt only schedules (no re-entry), and clear() below keeps capacity.

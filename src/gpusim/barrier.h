@@ -37,7 +37,6 @@ class Barrier {
 
   std::uint32_t expected() const { return expected_; }
   std::uint32_t arrived() const { return std::uint32_t(waiters_.size()); }
-  std::uint64_t releases() const { return releases_; }
   const std::string& name() const { return name_; }
 
  private:
@@ -53,7 +52,6 @@ class Barrier {
   std::string name_;
   std::uint32_t expected_ = 0;
   std::uint64_t max_arrival_ = 0;
-  std::uint64_t releases_ = 0;
   std::vector<Waiter> waiters_;
 };
 

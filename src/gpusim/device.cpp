@@ -57,9 +57,6 @@ StatusOr<LaunchResult> Device::Launch(const LaunchConfig& config,
   result.failures = std::move(lc.failures);
   result.failure_count = lc.failure_count;
   if (config.memcheck != nullptr) result.memcheck = config.memcheck->report();
-
-  lifetime_stats_.AccumulateSequential(lc.stats);
-  ++launches_;
   return result;
 }
 

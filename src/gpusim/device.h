@@ -69,16 +69,10 @@ class Device {
   StatusOr<LaunchResult> Launch(const LaunchConfig& config,
                                 const KernelFn& kernel);
 
-  /// Statistics accumulated over every launch on this device.
-  const LaunchStats& lifetime_stats() const { return lifetime_stats_; }
-  std::uint64_t launches() const { return launches_; }
-
  private:
   DeviceSpec spec_;
   DeviceMemory memory_;
   MemorySystem memsys_;
-  LaunchStats lifetime_stats_;
-  std::uint64_t launches_ = 0;
 };
 
 /// PCIe transfer cost in device cycles for `bytes`, either direction:

@@ -64,19 +64,6 @@ enum class MemcheckErrorKind : std::uint8_t {
 
 const char* ToString(MemcheckErrorKind kind);
 
-struct MemcheckConfig {
-  /// Findings stored verbatim in the report; counters keep counting beyond.
-  std::uint32_t max_findings = 64;
-  /// Report accesses not naturally aligned to their width.
-  bool check_alignment = true;
-  /// Run the cross-instance (ensemble isolation) checker. Inert until
-  /// regions are tagged and the launch maps team rows to instances
-  /// (LaunchConfig::row_instances).
-  bool check_cross_instance = true;
-  /// Flag device-code allocations still live when a kernel retires.
-  bool check_leaks = true;
-};
-
 struct MemcheckFinding {
   MemcheckErrorKind kind = MemcheckErrorKind::kOutOfBounds;
   /// Access kind for access findings; kNone for free/leak findings.
@@ -104,7 +91,7 @@ struct MemcheckFinding {
 };
 
 struct MemcheckReport {
-  std::vector<MemcheckFinding> findings;  ///< first max_findings, in order
+  std::vector<MemcheckFinding> findings;  ///< first kMaxFindings, in order
   std::uint64_t oob_count = 0;
   std::uint64_t uaf_count = 0;
   std::uint64_t double_free_count = 0;
@@ -125,7 +112,10 @@ class Lane;
 
 class Memcheck : public AllocationListener {
  public:
-  explicit Memcheck(MemcheckConfig config = {});
+  /// Findings stored verbatim in the report; counters keep counting beyond.
+  static constexpr std::size_t kMaxFindings = 64;
+
+  Memcheck() = default;
 
   Memcheck(const Memcheck&) = delete;
   Memcheck& operator=(const Memcheck&) = delete;
@@ -163,7 +153,6 @@ class Memcheck : public AllocationListener {
                    std::uint32_t bytes, bool is_write);
 
   const MemcheckReport& report() const { return report_; }
-  const MemcheckConfig& config() const { return config_; }
 
  private:
   struct ShadowAlloc {
@@ -189,7 +178,6 @@ class Memcheck : public AllocationListener {
   void Record(MemcheckFinding finding);
   std::uint64_t& CounterFor(MemcheckErrorKind kind);
 
-  MemcheckConfig config_;
   MemcheckReport report_;
   std::map<DeviceAddr, ShadowAlloc> live_;
   std::map<DeviceAddr, ShadowAlloc> freed_;  ///< retired allocations (FIFO-bounded)

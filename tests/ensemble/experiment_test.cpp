@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "apps/common.h"
 #include "ensemble/experiment.h"
@@ -12,6 +14,25 @@
 
 namespace dgc::ensemble {
 namespace {
+
+/// A measured point; `cycles` stays 0 where a test does not read it.
+SpeedupPoint RanPoint(std::uint32_t instances, double speedup,
+                      std::uint64_t cycles = 0) {
+  SpeedupPoint p;
+  p.instances = instances;
+  p.ran = true;
+  p.cycles = cycles;
+  p.speedup = speedup;
+  return p;
+}
+
+/// A skipped point and its reason.
+SpeedupPoint SkippedPoint(std::uint32_t instances, std::string note) {
+  SpeedupPoint p;
+  p.instances = instances;
+  p.note = std::move(note);
+  return p;
+}
 
 class ExperimentTest : public testing::Test {
  protected:
@@ -203,17 +224,17 @@ TEST_F(ExperimentTest, UnknownAppPropagates) {
 
 TEST_F(ExperimentTest, MaxSpeedupPicksLargestRanPoint) {
   SpeedupSeries s;
-  s.points.push_back({.instances = 1, .ran = true, .speedup = 1.0});
-  s.points.push_back({.instances = 2, .ran = true, .speedup = 1.8});
-  s.points.push_back({.instances = 4, .ran = false, .speedup = 0.0});
+  s.points.push_back(RanPoint(1, 1.0));
+  s.points.push_back(RanPoint(2, 1.8));
+  s.points.push_back(SkippedPoint(4, ""));
   EXPECT_DOUBLE_EQ(s.MaxSpeedup(), 1.8);
 }
 
 TEST_F(ExperimentTest, TableFormatsLinearRowAndSkips) {
   SpeedupSeries s;
   s.app = "demo";
-  s.points.push_back({.instances = 1, .ran = true, .speedup = 1.0});
-  s.points.push_back({.instances = 2, .ran = false, .note = "oom"});
+  s.points.push_back(RanPoint(1, 1.0));
+  s.points.push_back(SkippedPoint(2, "oom"));
   const std::string table = FormatSpeedupTable({s});
   EXPECT_NE(table.find("Linear"), std::string::npos);
   EXPECT_NE(table.find("demo"), std::string::npos);
@@ -240,8 +261,8 @@ TEST(SpeedupCsv, FormatsHeaderAndRows) {
   SpeedupSeries s;
   s.app = "demo";
   s.thread_limit = 32;
-  s.points.push_back({.instances = 1, .ran = true, .cycles = 100, .speedup = 1.0});
-  s.points.push_back({.instances = 8, .ran = false, .note = "oom"});
+  s.points.push_back(RanPoint(1, 1.0, 100));
+  s.points.push_back(SkippedPoint(8, "oom"));
   const std::string csv = FormatSpeedupCsv({s});
   EXPECT_NE(csv.find("benchmark,thread_limit,instances,ran,cycles,speedup"),
             std::string::npos);
@@ -255,7 +276,7 @@ TEST(SpeedupCsv, NotRanRowsHaveEmptyFieldsNotZeros) {
   SpeedupSeries s;
   s.app = "demo";
   s.thread_limit = 1024;
-  s.points.push_back({.instances = 8, .ran = false, .note = "oom"});
+  s.points.push_back(SkippedPoint(8, "oom"));
   const std::string csv = FormatSpeedupCsv({s});
   EXPECT_NE(csv.find("demo,1024,8,0,,\n"), std::string::npos);
   EXPECT_EQ(csv.find(",0,0,"), std::string::npos);
@@ -266,7 +287,7 @@ TEST(SpeedupCsv, WritesAndReadsBack) {
   SpeedupSeries s;
   s.app = "demo";
   s.thread_limit = 1024;
-  s.points.push_back({.instances = 2, .ran = true, .cycles = 7, .speedup = 1.9});
+  s.points.push_back(RanPoint(2, 1.9, 7));
   const std::string path = testing::TempDir() + "/dgc_csv_test.csv";
   ASSERT_TRUE(WriteSpeedupCsv({s}, path).ok());
   std::ifstream in(path);

@@ -100,9 +100,10 @@ TEST(EnsembleLoader, EachInstanceGetsItsOwnArguments) {
 
 TEST(EnsembleLoader, SingleKernelLaunchForAllInstances) {
   Env env;
-  const auto launches_before = env.device.launches();
-  ASSERT_TRUE(RunEnsemble(env.app_env, ProbeOptions(4)).ok());
-  EXPECT_EQ(env.device.launches(), launches_before + 1);
+  auto run = RunEnsemble(env.app_env, ProbeOptions(4));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->waves, 1u);
+  EXPECT_EQ(run->stats.blocks_launched, 4u);
 }
 
 TEST(EnsembleLoader, OneTeamPerInstanceByDefault) {

@@ -391,14 +391,17 @@ TEST(Launch, TransferCostsModelled) {
   EXPECT_EQ(TransferCycles(spec, 17), 1001u);
 }
 
-TEST(Launch, LifetimeStatsAccumulate) {
+TEST(Launch, StatsAccumulateAcrossLaunches) {
   auto dev = MakeDevice();
   LaunchConfig cfg{.grid = {1, 1, 1}, .block = {32, 1, 1}};
   auto k = [](ThreadCtx& ctx) -> DeviceTask<void> { co_await ctx.Work(10); };
-  ASSERT_TRUE(dev->Launch(cfg, k).ok());
-  ASSERT_TRUE(dev->Launch(cfg, k).ok());
-  EXPECT_EQ(dev->launches(), 2u);
-  EXPECT_EQ(dev->lifetime_stats().blocks_launched, 2u);
+  LaunchStats total;
+  for (int launch = 0; launch < 2; ++launch) {
+    auto result = dev->Launch(cfg, k);
+    ASSERT_TRUE(result.ok());
+    total.AccumulateSequential(result->stats);
+  }
+  EXPECT_EQ(total.blocks_launched, 2u);
 }
 
 TEST(Launch, ThreeDimBlockIds) {

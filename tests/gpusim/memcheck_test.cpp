@@ -354,17 +354,18 @@ TEST(Memcheck, AttachAdoptsPreexistingAllocations) {
 }
 
 TEST(Memcheck, FindingCapLimitsStorageNotCounting) {
-  MemcheckConfig config;
-  config.max_findings = 2;
   Device device(DeviceSpec::TestDevice());
-  Memcheck memcheck(config);
+  Memcheck memcheck;
   memcheck.Attach(device.memory());
 
   auto a = *device.Malloc(64);
   ASSERT_TRUE(device.Free(a.addr).ok());
-  for (int i = 0; i < 5; ++i) EXPECT_FALSE(device.Free(a.addr).ok());
-  EXPECT_EQ(memcheck.report().double_free_count, 5u);
-  EXPECT_EQ(memcheck.report().findings.size(), 2u);
+  const std::uint64_t frees = Memcheck::kMaxFindings + 6;
+  for (std::uint64_t i = 0; i < frees; ++i) {
+    EXPECT_FALSE(device.Free(a.addr).ok());
+  }
+  EXPECT_EQ(memcheck.report().double_free_count, frees);
+  EXPECT_EQ(memcheck.report().findings.size(), Memcheck::kMaxFindings);
   EXPECT_NE(memcheck.report().ToString().find("not recorded"),
             std::string::npos);
 }

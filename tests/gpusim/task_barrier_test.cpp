@@ -167,11 +167,10 @@ TEST(BarrierUnit, ReusableAcrossPhases) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->ok()) << (result->failures.empty() ? "" : result->failures[0]);
   EXPECT_EQ(*p, std::uint64_t(phases) * 64);
-  EXPECT_EQ(dev->lifetime_stats().barrier_arrivals,
-            std::uint64_t(2 * phases) * 64);
+  EXPECT_EQ(result->stats.barrier_arrivals, std::uint64_t(2 * phases) * 64);
 }
 
-TEST(BarrierUnit, ReleaseCountsAreTracked) {
+TEST(BarrierUnit, ExplicitBarrierReleasesEveryPhase) {
   auto dev = MakeDevice();
   Barrier b("counted");
   b.AddParticipants(32);
@@ -181,8 +180,13 @@ TEST(BarrierUnit, ReleaseCountsAreTracked) {
     co_await ctx.SyncOn(&b);
     co_await ctx.SyncOn(&b);
   });
+  // Both phases arrived with every lane, and a missed release would have
+  // left the lanes parked: the launch would end deadlocked, not clean.
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(b.releases(), 2u);
+  EXPECT_EQ(result->stats.barrier_arrivals, 2u * 32);
+  EXPECT_EQ(result->outcome, LaunchOutcome::kCompleted);
+  EXPECT_TRUE(result->ok()) << (result->failures.empty() ? "" : result->failures[0]);
+  EXPECT_EQ(b.arrived(), 0u);
 }
 
 }  // namespace

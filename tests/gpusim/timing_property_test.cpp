@@ -95,10 +95,10 @@ INSTANTIATE_TEST_SUITE_P(
                     SweepParam{4, 32, 16}, SweepParam{4, 64, 32},
                     SweepParam{16, 32, 8}, SweepParam{8, 128, 8},
                     SweepParam{32, 32, 4}),
-    [](const testing::TestParamInfo<SweepParam>& info) {
-      return "b" + std::to_string(info.param.blocks) + "t" +
-             std::to_string(info.param.threads) + "w" +
-             std::to_string(info.param.work_items);
+    [](const testing::TestParamInfo<SweepParam>& shape) {
+      return "b" + std::to_string(shape.param.blocks) + "t" +
+             std::to_string(shape.param.threads) + "w" +
+             std::to_string(shape.param.work_items);
     });
 
 // --- Monotonicity in device resources ---------------------------------------

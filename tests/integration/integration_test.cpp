@@ -159,8 +159,10 @@ TEST_F(PaperProperties, EnsembleKernelIsOneLaunch) {
     opt.instance_args.push_back(ArgsFor("rsbench", i));
   }
   opt.thread_limit = 32;
-  ASSERT_TRUE(ensemble::RunEnsemble(env, opt).ok());
-  EXPECT_EQ(device.launches(), 1u);
+  auto run = ensemble::RunEnsemble(env, opt);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->waves, 1u);
+  EXPECT_EQ(run->stats.blocks_launched, 16u);
 }
 
 TEST_F(PaperProperties, WholeStackIsDeterministic) {

@@ -31,10 +31,15 @@ TEST(Status, AllCodesHaveNames) {
 }
 
 TEST(StatusOr, HoldsValue) {
-  StatusOr<int> v(42);
-  ASSERT_TRUE(v.ok());
+  const StatusOr<int> v(42);
+  // Both observers are read before the ASSERT's early return; reading them
+  // after it makes GCC 12 warn (-Wmaybe-uninitialized) about the variant's
+  // Status alternative in v's destructor.
+  const bool ok = v.ok();
+  const Status status = v.status();
+  ASSERT_TRUE(ok);
   EXPECT_EQ(*v, 42);
-  EXPECT_TRUE(v.status().ok());
+  EXPECT_TRUE(status.ok());
 }
 
 TEST(StatusOr, HoldsError) {
