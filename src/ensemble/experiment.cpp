@@ -101,13 +101,8 @@ Status RunPoint(const ExperimentConfig& config, std::uint32_t n,
   point.peak_mem_bytes = run->device_mem.peak_bytes;
   point.shared_bytes_saved = run->device_mem.shared_bytes_saved;
   if (config.profile) {
-    MetricsInfo info;
-    info.app = config.app;
-    info.device = config.spec.name;
-    info.thread_limit = config.thread_limit;
-    info.instances = n;
-    info.teams_per_block = config.teams_per_block;
-    point.metrics_json = FormatMetricsJson(info, *run, &profiler);
+    point.metrics_json =
+        FormatMetricsJson(options, config.spec.name, *run, &profiler);
   }
   return Status::Ok();
 }

@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "ensemble/loader.h"
 #include "gpusim/profiler.h"
 #include "support/json.h"
 #include "support/str.h"
@@ -102,16 +103,17 @@ void AppendTimeline(std::string& out, const sim::Profiler& profiler) {
 
 }  // namespace
 
-std::string FormatMetricsJson(const MetricsInfo& info,
+std::string FormatMetricsJson(const EnsembleOptions& options,
+                              const std::string& device,
                               const dgcf::RunResult& run,
                               const sim::Profiler* profiler) {
   std::string out = "{\n";
   out += "  \"schema\": \"dgc-metrics-v1\",\n";
-  out += "  \"app\": \"" + JsonEscape(info.app) + "\",\n";
-  out += "  \"device\": \"" + JsonEscape(info.device) + "\",\n";
-  out += "  \"thread_limit\": " + U64(info.thread_limit) + ",\n";
-  out += "  \"instances\": " + U64(info.instances) + ",\n";
-  out += "  \"teams_per_block\": " + U64(info.teams_per_block) + ",\n";
+  out += "  \"app\": \"" + JsonEscape(options.app) + "\",\n";
+  out += "  \"device\": \"" + JsonEscape(device) + "\",\n";
+  out += "  \"thread_limit\": " + U64(options.thread_limit) + ",\n";
+  out += "  \"instances\": " + U64(run.instances.size()) + ",\n";
+  out += "  \"teams_per_block\": " + U64(options.teams_per_block) + ",\n";
   out += "  \"waves\": " + U64(run.waves) + ",\n";
   out += "  \"kernel_cycles\": " + U64(run.kernel_cycles) + ",\n";
   out += "  \"transfer_cycles\": " + U64(run.transfer_cycles) + ",\n";
@@ -178,14 +180,15 @@ std::string FormatMetricsJson(const MetricsInfo& info,
   return out;
 }
 
-Status WriteMetricsJson(const std::string& path, const MetricsInfo& info,
-                        const dgcf::RunResult& run,
+Status WriteMetricsJson(const std::string& path,
+                        const EnsembleOptions& options,
+                        const std::string& device, const dgcf::RunResult& run,
                         const sim::Profiler* profiler) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     return Status(ErrorCode::kInvalidArgument, "cannot write " + path);
   }
-  out << FormatMetricsJson(info, run, profiler);
+  out << FormatMetricsJson(options, device, run, profiler);
   return Status::Ok();
 }
 

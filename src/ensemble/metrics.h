@@ -34,7 +34,6 @@
 // "timeline" degrade to [] / null when the run was not profiled.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "dgcf/loader.h"
@@ -46,23 +45,20 @@ class Profiler;
 
 namespace dgc::ensemble {
 
-/// Run identification recorded in the document header.
-struct MetricsInfo {
-  std::string app;
-  std::string device;
-  std::uint32_t thread_limit = 0;
-  std::uint32_t instances = 0;
-  std::uint32_t teams_per_block = 1;
-};
+struct EnsembleOptions;
 
-/// Serializes the run. `profiler` may be null: the document then carries
-/// only the launch-global section (empty per_instance, null timeline).
-std::string FormatMetricsJson(const MetricsInfo& info,
+/// Serializes the run that `options` launched on the device named
+/// `device`; the header's instance count is the run's. `profiler` may be
+/// null: the document then carries only the launch-global section (empty
+/// per_instance, null timeline).
+std::string FormatMetricsJson(const EnsembleOptions& options,
+                              const std::string& device,
                               const dgcf::RunResult& run,
                               const sim::Profiler* profiler);
 
-Status WriteMetricsJson(const std::string& path, const MetricsInfo& info,
-                        const dgcf::RunResult& run,
+Status WriteMetricsJson(const std::string& path,
+                        const EnsembleOptions& options,
+                        const std::string& device, const dgcf::RunResult& run,
                         const sim::Profiler* profiler);
 
 }  // namespace dgc::ensemble

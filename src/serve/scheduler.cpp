@@ -574,17 +574,11 @@ void Scheduler::ResolveInFlight() {
     }
     PushEvent(Event{free_cycle, EventKind::kDeviceFree, 0, fl.id, 0, {}});
     if (!config_.metrics_prefix.empty() && !fl.launch_error) {
-      ensemble::MetricsInfo info;
-      info.app = fl.app;
-      info.device = config_.spec.name;
-      info.thread_limit = config_.thread_limit;
-      info.instances = std::uint32_t(fl.jobs.size());
-      info.teams_per_block = config_.teams_per_block;
       const std::string path =
           StrFormat("%s.launch%u.json", config_.metrics_prefix.c_str(),
                     fl.id);
-      const Status written =
-          ensemble::WriteMetricsJson(path, info, fl.run, fl.profiler.get());
+      const Status written = ensemble::WriteMetricsJson(
+          path, fl.options, config_.spec.name, fl.run, fl.profiler.get());
       if (!written.ok()) {
         Log(StrFormat("@%llu metrics-error launch=%u %s",
                       (unsigned long long)now_, fl.id,

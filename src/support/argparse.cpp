@@ -112,7 +112,8 @@ ArgParser& ArgParser::AddIntList(std::string long_name, std::string help,
   DGC_CHECK(out != nullptr);
   std::string default_text;
   for (std::uint32_t v : *out) {
-    default_text += (default_text.empty() ? "" : ",") + std::to_string(v);
+    if (!default_text.empty()) default_text += ',';
+    default_text += std::to_string(v);
   }
   return Add({std::move(long_name), 0, std::move(help), "<n,n,...>",
               default_text.empty() ? "none" : default_text, false,

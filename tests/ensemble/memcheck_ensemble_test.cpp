@@ -21,7 +21,7 @@ using sim::DeviceSpec;
 using sim::DeviceTask;
 
 // Four teams, one instance each, every team writing "its" replica of a
-// single declared global — the ablation_isolation bench in miniature.
+// single declared global — `figures isolation` in miniature.
 sim::MemcheckReport RunGlobalsWrites(GlobalsMode mode) {
   Device device(DeviceSpec::TestDevice());
   sim::Memcheck memcheck;

@@ -85,19 +85,19 @@ ProfiledRun RunProbe(std::uint32_t instances) {
   return out;
 }
 
-MetricsInfo ProbeInfo(std::uint32_t instances) {
-  MetricsInfo info;
+/// The probe's header fields; the document names the device "TEST".
+EnsembleOptions ProbeInfo() {
+  EnsembleOptions info;
   info.app = "metrics_probe";
-  info.device = "TEST";
   info.thread_limit = 32;
-  info.instances = instances;
   return info;
 }
+const std::string kProbeDevice = "TEST";
 
 TEST(Metrics, DocumentIsValidJson) {
   ProfiledRun pr = RunProbe(2);
   const std::string json =
-      FormatMetricsJson(ProbeInfo(2), pr.run, &pr.profiler);
+      FormatMetricsJson(ProbeInfo(), kProbeDevice, pr.run, &pr.profiler);
   const Status valid = JsonValidate(json);
   EXPECT_TRUE(valid.ok()) << valid.ToString();
   EXPECT_NE(json.find("\"schema\": \"dgc-metrics-v1\""), std::string::npos);
@@ -105,7 +105,8 @@ TEST(Metrics, DocumentIsValidJson) {
 
 TEST(Metrics, UnprofiledDocumentDegradesAndStaysValid) {
   ProfiledRun pr = RunProbe(1);
-  const std::string json = FormatMetricsJson(ProbeInfo(1), pr.run, nullptr);
+  const std::string json =
+      FormatMetricsJson(ProbeInfo(), kProbeDevice, pr.run, nullptr);
   EXPECT_TRUE(JsonValidate(json).ok());
   EXPECT_NE(json.find("\"timeline\": null"), std::string::npos);
 }
@@ -115,15 +116,16 @@ TEST(Metrics, IdenticalRunsSerializeByteIdentically) {
   // where the point ran, only on its configuration.
   ProfiledRun a = RunProbe(2);
   ProfiledRun b = RunProbe(2);
-  EXPECT_EQ(FormatMetricsJson(ProbeInfo(2), a.run, &a.profiler),
-            FormatMetricsJson(ProbeInfo(2), b.run, &b.profiler));
+  EXPECT_EQ(FormatMetricsJson(ProbeInfo(), kProbeDevice, a.run, &a.profiler),
+            FormatMetricsJson(ProbeInfo(), kProbeDevice, b.run, &b.profiler));
 }
 
 TEST(Metrics, HeaderStringsAreEscaped) {
   ProfiledRun pr = RunProbe(1);
-  MetricsInfo info = ProbeInfo(1);
+  EnsembleOptions info = ProbeInfo();
   info.app = "weird \"name\"\nwith\\controls";
-  const std::string json = FormatMetricsJson(info, pr.run, &pr.profiler);
+  const std::string json =
+      FormatMetricsJson(info, kProbeDevice, pr.run, &pr.profiler);
   const Status valid = JsonValidate(json);
   EXPECT_TRUE(valid.ok()) << valid.ToString();
   EXPECT_NE(json.find("weird \\\"name\\\"\\nwith\\\\controls"),
@@ -135,7 +137,7 @@ TEST(Metrics, PerInstanceSectionMatchesAttribution) {
   ASSERT_EQ(pr.run.instances.size(), 3u);
   ASSERT_EQ(pr.run.instance_stats.size(), 4u);  // unattributed + 3
   const std::string json =
-      FormatMetricsJson(ProbeInfo(3), pr.run, &pr.profiler);
+      FormatMetricsJson(ProbeInfo(), kProbeDevice, pr.run, &pr.profiler);
   // Instance 1's serialized elapsed_cycles is its attributed counter, not
   // the launch-global one.
   const std::string expect = StrFormat(
@@ -191,9 +193,10 @@ TEST(Metrics, FullDocumentMatchesPinnedDigest) {
   ASSERT_EQ(run.instances[0].attempts, 2u);
   ASSERT_TRUE(run.all_ok());
 
-  MetricsInfo info = ProbeInfo(3);
+  EnsembleOptions info = ProbeInfo();
   info.teams_per_block = 2;
-  const std::string json = FormatMetricsJson(info, run, &profiler);
+  const std::string json =
+      FormatMetricsJson(info, kProbeDevice, run, &profiler);
   EXPECT_EQ(Fnv1a(json), 0x0a6ae6e8b96c607fULL)
       << "digest 0x" << std::hex << Fnv1a(json) << "\n" << json;
 }
@@ -293,7 +296,7 @@ std::string CollapseArray(const std::string& json, const std::string& key) {
 TEST(Metrics, GoldenSchemaShape) {
   ProfiledRun pr = RunProbe(2);
   const std::string json =
-      FormatMetricsJson(ProbeInfo(2), pr.run, &pr.profiler);
+      FormatMetricsJson(ProbeInfo(), kProbeDevice, pr.run, &pr.profiler);
   std::string normalized = NormalizeScalars(json);
   normalized = CollapseArray(normalized, "per_instance");
   normalized = CollapseArray(normalized, "samples");

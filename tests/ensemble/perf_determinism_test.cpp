@@ -162,8 +162,7 @@ TEST(PerfDeterminism, SingleEnsembleLaunchStatsIdenticalAcrossPaths) {
     auto run = RunEnsemble(env, opt);
     sim::SetCoalesceFastPath(was);
     EXPECT_TRUE(run.ok());
-    MetricsInfo info{"xsbench", device.spec().name, 32, 4, 1};
-    return FormatMetricsJson(info, *run, &profiler);
+    return FormatMetricsJson(opt, device.spec().name, *run, &profiler);
   };
   EXPECT_EQ(run_once(true), run_once(false));
 }

@@ -5,6 +5,7 @@
 #include "gpusim/ctx.h"
 #include "gpusim/device.h"
 #include "support/rng.h"
+#include "support/str.h"
 
 namespace dgc::sim {
 namespace {
@@ -96,9 +97,8 @@ INSTANTIATE_TEST_SUITE_P(
                     SweepParam{16, 32, 8}, SweepParam{8, 128, 8},
                     SweepParam{32, 32, 4}),
     [](const testing::TestParamInfo<SweepParam>& shape) {
-      return "b" + std::to_string(shape.param.blocks) + "t" +
-             std::to_string(shape.param.threads) + "w" +
-             std::to_string(shape.param.work_items);
+      return StrFormat("b%ut%uw%u", shape.param.blocks, shape.param.threads,
+                       shape.param.work_items);
     });
 
 // --- Monotonicity in device resources ---------------------------------------

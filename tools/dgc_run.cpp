@@ -326,7 +326,6 @@ int main(int argc, char** argv) {
 
   sim::Trace trace{std::size_t(flags.trace_capacity)};
   sim::Memcheck memcheck;
-  if (flags.memcheck) memcheck.Attach(device.memory());
   const bool profiling = flags.profile || !flags.metrics_path.empty();
   sim::Profiler::Options profiler_options;
   profiler_options.sample_interval = flags.profile_interval;
@@ -342,14 +341,8 @@ int main(int argc, char** argv) {
   PrintOutcome(*run, device.spec(), rpc, libc, flags.stats, flags.memcheck);
   if (flags.profile) PrintProfile(*run, profiler);
   if (!flags.metrics_path.empty()) {
-    ensemble::MetricsInfo info;
-    info.app = cli.options.app;
-    info.device = spec->name;
-    info.thread_limit = cli.options.thread_limit;
-    info.instances = std::uint32_t(run->instances.size());
-    info.teams_per_block = cli.options.teams_per_block;
-    const Status s =
-        ensemble::WriteMetricsJson(flags.metrics_path, info, *run, &profiler);
+    const Status s = ensemble::WriteMetricsJson(
+        flags.metrics_path, cli.options, spec->name, *run, &profiler);
     if (!s.ok()) {
       std::fprintf(stderr, "metrics export failed: %s\n",
                    s.ToString().c_str());
