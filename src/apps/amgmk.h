@@ -18,7 +18,9 @@ struct AmgParams {
   std::uint64_t seed = 1;
   bool verbose = false;
 
-  /// Parses `-x -y -z -w(sweeps) -s -v` from argv[1..].
+  /// Parses `-x -y -z -w(sweeps) -s -v` from
+  /// the option arguments alone, without argv[0] (ExtractOptionArgs
+  /// strips it; a program name here is an unexpected positional argument).
   static StatusOr<AmgParams> Parse(const std::vector<std::string>& args);
   std::uint64_t DeviceBytes() const;
   std::uint32_t rows() const { return nx * ny * nz; }

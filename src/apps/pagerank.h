@@ -20,7 +20,9 @@ struct PrParams {
   std::uint64_t seed = 1;
   bool verbose = false;
 
-  /// Parses `-g(nodes) -d(degree) -k(iterations) -a(damping) -s -v`.
+  /// Parses `-g(nodes) -d(degree) -k(iterations) -a(damping) -s -v` from
+  /// the option arguments alone, without argv[0] (ExtractOptionArgs
+  /// strips it; a program name here is an unexpected positional argument).
   static StatusOr<PrParams> Parse(const std::vector<std::string>& args);
   std::uint64_t DeviceBytes() const;
 };

@@ -21,7 +21,9 @@ struct RsParams {
   std::uint64_t seed = 1;
   bool verbose = false;
 
-  /// Parses `-u -w -p -m -l -s -v` from argv[1..].
+  /// Parses `-u -w -p -m -l -s -v` from
+  /// the option arguments alone, without argv[0] (ExtractOptionArgs
+  /// strips it; a program name here is an unexpected positional argument).
   static StatusOr<RsParams> Parse(const std::vector<std::string>& args);
   std::uint64_t DeviceBytes() const;
 };

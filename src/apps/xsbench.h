@@ -39,7 +39,8 @@ struct XsParams {
   bool verbose = false;
 
   /// Parses `-i -g -m -l -s -v -G <unionized|hash|nuclide> -H <bins>` from
-  /// argv[1..] (argv[0] = program name).
+  /// the option arguments alone, without argv[0] (ExtractOptionArgs
+  /// strips it; a program name here is an unexpected positional argument).
   static StatusOr<XsParams> Parse(const std::vector<std::string>& args);
 
   /// Approximate device bytes one instance allocates (grid-type dependent).

@@ -49,38 +49,6 @@ class [[nodiscard]] Status {
   std::string message_;
 };
 
-/// Either a value or a Status error. A minimal `expected`-style type.
-template <typename T>
-class [[nodiscard]] StatusOr {
- public:
-  StatusOr(T value) : rep_(std::move(value)) {}
-  StatusOr(Status status) : rep_(std::move(status)) {
-    if (std::get<Status>(rep_).ok()) {
-      // An OK status carries no value; treat as a caller bug.
-      rep_ = Status(ErrorCode::kInternal, "StatusOr constructed from OK status");
-    }
-  }
-
-  bool ok() const { return std::holds_alternative<T>(rep_); }
-
-  const Status& status() const {
-    static const Status kOk;
-    return ok() ? kOk : std::get<Status>(rep_);
-  }
-
-  T& value() & { return std::get<T>(rep_); }
-  const T& value() const& { return std::get<T>(rep_); }
-  T&& value() && { return std::get<T>(std::move(rep_)); }
-
-  T& operator*() & { return value(); }
-  const T& operator*() const& { return value(); }
-  T* operator->() { return &value(); }
-  const T* operator->() const { return &value(); }
-
- private:
-  std::variant<T, Status> rep_;
-};
-
 namespace detail {
 [[noreturn]] void CheckFailed(const char* file, int line, const char* expr,
                               const std::string& extra);
@@ -100,6 +68,50 @@ namespace detail {
       ::dgc::detail::CheckFailed(__FILE__, __LINE__, #expr, (msg));      \
     }                                                                    \
   } while (0)
+
+/// Either a value or a Status error. A minimal `expected`-style type.
+template <typename T>
+class [[nodiscard]] StatusOr {
+ public:
+  StatusOr(T value) : rep_(std::move(value)) {}
+  StatusOr(Status status) : rep_(std::move(status)) {
+    if (std::get<Status>(rep_).ok()) {
+      // An OK status carries no value; treat as a caller bug.
+      rep_ = Status(ErrorCode::kInternal, "StatusOr constructed from OK status");
+    }
+  }
+
+  bool ok() const { return std::holds_alternative<T>(rep_); }
+
+  const Status& status() const {
+    static const Status kOk;
+    return ok() ? kOk : std::get<Status>(rep_);
+  }
+
+  /// The value; on an error status, a check failure that prints it.
+  T& value() & {
+    CheckOk();
+    return *std::get_if<T>(&rep_);
+  }
+  const T& value() const& {
+    CheckOk();
+    return *std::get_if<T>(&rep_);
+  }
+  T&& value() && {
+    CheckOk();
+    return std::move(*std::get_if<T>(&rep_));
+  }
+
+  T& operator*() & { return value(); }
+  const T& operator*() const& { return value(); }
+  T* operator->() { return &value(); }
+  const T* operator->() const { return &value(); }
+
+ private:
+  void CheckOk() const { DGC_CHECK_MSG(ok(), status().ToString()); }
+
+  std::variant<T, Status> rep_;
+};
 
 /// Propagates a non-OK Status to the caller.
 #define DGC_RETURN_IF_ERROR(expr)              \

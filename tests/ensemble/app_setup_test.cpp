@@ -136,19 +136,22 @@ std::vector<std::string> Verifications(const std::string& text) {
 }
 
 // An instance's answer is its own: sharing its inputs, packing two teams
-// into a block, or running on fewer teams than instances must not change
-// what any instance computes.
+// into a block, running on fewer teams than instances, or retrying a
+// trapped instance in a second wave must not change what any instance
+// computes.
 TEST(AppSetup, AnswersDoNotDependOnPackingOrSharing) {
   apps::RegisterAllApps();
   struct Packing {
     const char* name;
     std::uint32_t teams_per_block;
     std::uint32_t num_teams;
+    const char* faults = nullptr;  ///< a trap that a second wave retries
   };
   const Packing packings[] = {
       {"one team per block", 1, 0},
       {"teams_per_block=2", 2, 0},
       {"num_teams=2", 1, 2},
+      {"trap retried", 1, 0, "trap@b0.w0.c300"},
   };
   for (const std::string app : {"xsbench", "rsbench", "amgmk", "pagerank"}) {
     std::vector<std::string> reference;
@@ -167,9 +170,16 @@ TEST(AppSetup, AnswersDoNotDependOnPackingOrSharing) {
         opt.teams_per_block = packing.teams_per_block;
         opt.num_teams = packing.num_teams;
         opt.share_data = share;
+        sim::FaultPlan plan;
+        if (packing.faults != nullptr) {
+          plan = *sim::FaultPlan::Parse(packing.faults);
+          opt.faults = &plan;
+          opt.max_attempts = 2;
+        }
         auto run = RunEnsemble(env, opt);
         ASSERT_TRUE(run.ok()) << run.status().ToString();
         EXPECT_TRUE(run->all_ok());
+        EXPECT_EQ(run->waves, packing.faults != nullptr ? 2u : 1u);
         const std::vector<std::string> answers =
             Verifications(rpc.stdout_text());
         EXPECT_EQ(answers.size(), opt.instance_args.size());

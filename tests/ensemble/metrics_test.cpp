@@ -1,19 +1,17 @@
 // The --metrics-json document (ensemble/metrics.h): validity, determinism,
-// escaping, and a golden-file lock on the dgc-metrics-v1 schema shape.
+// escaping, and a golden document that pins a whole dgc-metrics-v1 file.
 #include "ensemble/metrics.h"
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "dgcf/libc.h"
 #include "dgcf/rpc.h"
 #include "ensemble/loader.h"
 #include "gpusim/device.h"
 #include "gpusim/profiler.h"
+#include "golden.h"
 #include "ompx/team.h"
 #include "support/json.h"
 #include "support/str.h"
@@ -151,16 +149,6 @@ TEST(Metrics, PerInstanceSectionMatchesAttribution) {
   EXPECT_NE(json.find(expect), std::string::npos) << json.substr(0, 2000);
 }
 
-/// FNV-1a (64-bit) of a whole document.
-std::uint64_t Fnv1a(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 /// Three probe instances, two teams per block (the second block's padding
 /// row is unattributed work), and an injected trap on instance 0's warp
 /// that a second wave retries.
@@ -184,9 +172,9 @@ dgcf::RunResult RunRetryProbe(sim::Profiler* profiler) {
 }
 
 TEST(Metrics, FullDocumentMatchesPinnedDigest) {
-  // Pins every value, not just the shape GoldenSchemaShape locks: per-
-  // instance counters, the unattributed bucket, each instance's
-  // mem_peak_bytes (the allocation owner) and elapsed_cycles.
+  // Pins the whole dgc-metrics-v1 document: every key, the nesting and the
+  // field order, and every value (per-instance counters, the unattributed
+  // bucket, each instance's mem_peak_bytes and elapsed_cycles).
   sim::Profiler profiler(sim::Profiler::Options{.sample_interval = 64});
   const dgcf::RunResult run = RunRetryProbe(&profiler);
   ASSERT_EQ(run.waves, 2u);
@@ -195,10 +183,8 @@ TEST(Metrics, FullDocumentMatchesPinnedDigest) {
 
   EnsembleOptions info = ProbeInfo();
   info.teams_per_block = 2;
-  const std::string json =
-      FormatMetricsJson(info, kProbeDevice, run, &profiler);
-  EXPECT_EQ(Fnv1a(json), 0x0a6ae6e8b96c607fULL)
-      << "digest 0x" << std::hex << Fnv1a(json) << "\n" << json;
+  ExpectGolden(FormatMetricsJson(info, kProbeDevice, run, &profiler),
+               "metrics_retry_probe.json");
 }
 
 TEST(Metrics, UnprofiledRunAttributesPerInstance) {
@@ -222,101 +208,6 @@ TEST(Metrics, UnprofiledRunAttributesPerInstance) {
     EXPECT_EQ(plain.instance_stats[i + 1].stats.elapsed_cycles,
               plain.instances[i].cycles);
   }
-}
-
-// --- Golden schema test ----------------------------------------------------
-//
-// Locks the document SHAPE (keys, nesting, field order), not the values:
-// numbers become '#', booleans '?', and the per_instance/samples arrays are
-// collapsed to their first element. Regenerate after an intentional schema
-// change with: DGC_REGEN_GOLDEN=1 ./test_ensemble --gtest_filter='*Golden*'
-
-/// Replaces every number token outside strings with '#' and booleans
-/// with '?'. null is kept: it is schema-relevant (degraded sections).
-std::string NormalizeScalars(const std::string& json) {
-  std::string out;
-  bool in_string = false;
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const char c = json[i];
-    if (in_string) {
-      out += c;
-      if (c == '\\' && i + 1 < json.size()) out += json[++i];
-      else if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-      out += c;
-    } else if (c == '-' || (c >= '0' && c <= '9')) {
-      while (i + 1 < json.size() &&
-             (std::isdigit((unsigned char)json[i + 1]) || json[i + 1] == '.' ||
-              json[i + 1] == 'e' || json[i + 1] == 'E' || json[i + 1] == '+' ||
-              json[i + 1] == '-')) {
-        ++i;
-      }
-      out += '#';
-    } else if (json.compare(i, 4, "true") == 0) {
-      out += '?';
-      i += 3;
-    } else if (json.compare(i, 5, "false") == 0) {
-      out += '?';
-      i += 4;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-/// Collapses the array value of `key` to its first element (the schema of
-/// element N is the schema of element 0).
-std::string CollapseArray(const std::string& json, const std::string& key) {
-  const std::size_t open = json.find("\"" + key + "\": [");
-  if (open == std::string::npos) return json;
-  const std::size_t start = json.find('[', open);
-  int depth = 0;
-  std::size_t first_end = std::string::npos, close = std::string::npos;
-  for (std::size_t i = start; i < json.size(); ++i) {
-    if (json[i] == '[' || json[i] == '{') ++depth;
-    if (json[i] == ']' || json[i] == '}') {
-      --depth;
-      if (depth == 1 && first_end == std::string::npos) first_end = i + 1;
-      if (depth == 0) {
-        close = i;
-        break;
-      }
-    }
-  }
-  if (close == std::string::npos || first_end == std::string::npos) {
-    return json;
-  }
-  return json.substr(0, first_end) + "\n  ]" + json.substr(close + 1);
-}
-
-TEST(Metrics, GoldenSchemaShape) {
-  ProfiledRun pr = RunProbe(2);
-  const std::string json =
-      FormatMetricsJson(ProbeInfo(), kProbeDevice, pr.run, &pr.profiler);
-  std::string normalized = NormalizeScalars(json);
-  normalized = CollapseArray(normalized, "per_instance");
-  normalized = CollapseArray(normalized, "samples");
-
-  const std::string path =
-      std::string(DGC_TESTDATA_DIR) + "/metrics_schema.golden";
-  if (std::getenv("DGC_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(bool(out)) << "cannot write " << path;
-    out << normalized;
-    GTEST_SKIP() << "golden regenerated: " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(bool(in)) << "missing golden file " << path
-                        << " (regenerate with DGC_REGEN_GOLDEN=1)";
-  std::stringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(normalized, golden.str())
-      << "dgc-metrics-v1 schema shape changed; if intentional, bump the "
-         "schema version and regenerate with DGC_REGEN_GOLDEN=1";
 }
 
 }  // namespace

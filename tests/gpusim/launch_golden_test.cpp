@@ -1,14 +1,16 @@
 // Pinned launch outputs: two kernels that exercise every op the issue path
 // distinguishes (strided loads/stores, gather batches, atomics, compute,
 // block barriers, shared memory, multi-warp blocks, an injected trap),
-// each reduced to its kernel cycles plus FNV-1a digests of its LaunchStats
-// text and of its memory contents and trace. A refactor of the engine, the
-// warp issue path or the stats plumbing must reproduce these exactly; a
-// model change that moves them must re-pin them deliberately (every
-// mismatch message prints the new value).
+// each rendered as a golden document under tests/testdata/: kernel cycles,
+// LaunchStats text and failures, memory contents and trace. A refactor of
+// the engine, the warp issue path or the stats plumbing must reproduce them
+// byte for byte; a model change that moves them must re-pin them
+// deliberately (a mismatch names the first differing line and prints the
+// cp command that re-pins the golden).
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpusim/block.h"
@@ -17,60 +19,37 @@
 #include "gpusim/device.h"
 #include "gpusim/faults.h"
 #include "gpusim/trace.h"
+#include "golden.h"
+#include "support/str.h"
 
 namespace dgc::sim {
 namespace {
 
-/// FNV-1a (64-bit) over a byte range, chained through `h`.
-std::uint64_t Fnv1a(const void* data, std::size_t bytes,
-                    std::uint64_t h = 0xcbf29ce484222325ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-template <typename T>
-std::uint64_t FnvValue(T v, std::uint64_t h) {
-  return Fnv1a(&v, sizeof v, h);
-}
-
-/// One launch reduced to what the golden values pin.
-struct Golden {
-  std::uint64_t cycles = 0;
-  std::uint64_t stats_digest = 0;   ///< LaunchStats::ToString + failures
-  std::uint64_t output_digest = 0;  ///< memory contents, then the trace
-};
-
-Golden Digest(const LaunchResult& r, const std::vector<double>& memory,
-              const Trace& trace) {
-  Golden g;
-  g.cycles = r.cycles;
-  std::string stats = r.stats.ToString();
-  for (const std::string& f : r.failures) stats += "\n" + f;
-  g.stats_digest = Fnv1a(stats.data(), stats.size());
-  std::uint64_t h = Fnv1a(memory.data(), memory.size() * sizeof(double));
+/// One launch as its golden document: the kernel cycles, the LaunchStats
+/// text and failure lines, every memory value exactly, then the trace.
+std::string Render(const LaunchResult& r, const std::vector<double>& memory,
+                   const Trace& trace) {
+  std::string out = StrFormat("cycles %llu\n", (unsigned long long)r.cycles) +
+                    r.stats.ToString();
+  for (const std::string& f : r.failures) out += f + "\n";
+  out += "memory\n";
+  for (double v : memory) out += StrFormat("%.17g\n", v);
+  out += "trace: block warp sm kind issue complete lanes sectors wave\n";
   for (const TraceEvent& e : trace.events()) {
-    h = FnvValue(e.block, h);
-    h = FnvValue(e.warp, h);
-    h = FnvValue(e.sm, h);
-    h = FnvValue(std::uint8_t(e.kind), h);
-    h = FnvValue(e.issue, h);
-    h = FnvValue(e.complete, h);
-    h = FnvValue(e.lanes, h);
-    h = FnvValue(e.sectors, h);
-    h = FnvValue(e.wave, h);
+    const std::string_view kind = TraceKindName(e.kind);
+    out += StrFormat("%u %u %d %.*s %llu %llu %u %u %u\n", e.block, e.warp,
+                     e.sm, int(kind.size()), kind.data(),
+                     (unsigned long long)e.issue,
+                     (unsigned long long)e.complete, e.lanes, e.sectors,
+                     e.wave);
   }
-  g.output_digest = h;
-  return g;
+  return out;
 }
 
 /// Single-warp blocks doing a mix of every op the issue path
 /// distinguishes: strided loads/stores, a gather batch, an atomic
 /// reduction, compute and a block barrier.
-Golden RunMixed() {
+std::string RunMixed() {
   Device dev(DeviceSpec::TestDevice());
   const int n = 512;
   auto buf = *dev.Malloc(n * sizeof(double));
@@ -109,14 +88,14 @@ Golden RunMixed() {
   memory.reserve(std::size_t(n) + 1);
   for (int i = 0; i < n; ++i) memory.push_back(p[i]);
   memory.push_back(pa[0]);
-  return Digest(*r, memory, trace);
+  return Render(*r, memory, trace);
 }
 
 /// Multi-warp blocks (two warps per 64-thread block): a shared-memory
 /// reduction through block barriers, shared-bank conflicts, a global
 /// strided phase and an atomic tail. Optionally runs under a fault plan
 /// (a fresh one per run — consumption counters advance).
-Golden RunMultiWarp(const char* fault_spec = nullptr) {
+std::string RunMultiWarp(const char* fault_spec = nullptr) {
   Device dev(DeviceSpec::TestDevice());
   const int blocks = 4, threads = 64, n = 512;
   auto buf = *dev.Malloc(n * sizeof(double));
@@ -163,45 +142,32 @@ Golden RunMultiWarp(const char* fault_spec = nullptr) {
   memory.reserve(std::size_t(n + blocks));
   for (int i = 0; i < n; ++i) memory.push_back(p[i]);
   for (int b = 0; b < blocks; ++b) memory.push_back(po[b]);
-  return Digest(*r, memory, trace);
+  return Render(*r, memory, trace);
 }
 
-void ExpectGolden(const Golden& got, const Golden& want) {
-  EXPECT_EQ(got.cycles, want.cycles);
-  EXPECT_EQ(got.stats_digest, want.stats_digest)
-      << "stats digest 0x" << std::hex << got.stats_digest;
-  EXPECT_EQ(got.output_digest, want.output_digest)
-      << "output digest 0x" << std::hex << got.output_digest;
-}
-
-// The mixed kernel's values were captured while it still awaited a
-// zero-cost host fence after its strided loop; matching them shows the
-// fence never changed an output.
-constexpr Golden kMixed{1062, 0x97a1554d4711cc5eull, 0xcbecd61789b23806ull};
-constexpr Golden kMultiWarp{1088, 0x6e2032feb30464b2ull,
-                            0xf82c5e70aa92a2b0ull};
-constexpr Golden kMultiWarpTrap{1088, 0x31f62af25fa265a2ull,
-                                0x0fc00c398e58df8bull};
-
+// The mixed kernel's output was first pinned while it still awaited a
+// zero-cost host fence after its strided loop; matching it shows the fence
+// never changed an output.
 TEST(LaunchGolden, MixedKernelMatchesPinnedDigest) {
-  ExpectGolden(RunMixed(), kMixed);
+  ExpectGolden(RunMixed(), "launch_mixed.txt");
 }
 
 TEST(LaunchGolden, MixedKernelMatchesPinnedDigestUnderScalarCoalescer) {
   // Both coalescer implementations must produce the same sectors, so the
-  // pinned values hold on the scalar reference path too.
+  // golden holds on the scalar reference path too.
   const bool was = SetCoalesceFastPath(false);
-  const Golden scalar = RunMixed();
+  const std::string scalar = RunMixed();
   SetCoalesceFastPath(was);
-  ExpectGolden(scalar, kMixed);
+  ExpectGolden(scalar, "launch_mixed.txt");
 }
 
 TEST(LaunchGolden, MultiWarpKernelMatchesPinnedDigest) {
-  ExpectGolden(RunMultiWarp(), kMultiWarp);
+  ExpectGolden(RunMultiWarp(), "launch_multiwarp.txt");
 }
 
 TEST(LaunchGolden, MultiWarpTrapMatchesPinnedDigest) {
-  ExpectGolden(RunMultiWarp("trap@b1.w1.c400"), kMultiWarpTrap);
+  ExpectGolden(RunMultiWarp("trap@b1.w1.c400"),
+               "launch_multiwarp_trap.txt");
 }
 
 }  // namespace

@@ -46,6 +46,8 @@ TEST(StatusOr, HoldsError) {
   StatusOr<int> v(Status(ErrorCode::kInvalidArgument, "bad"));
   ASSERT_FALSE(v.ok());
   EXPECT_EQ(v.status().code(), ErrorCode::kInvalidArgument);
+  // Dereferencing the error fails a check that prints the status.
+  EXPECT_DEATH((void)*v, "InvalidArgument: bad");
 }
 
 TEST(StatusOr, OkStatusIsRejected) {
