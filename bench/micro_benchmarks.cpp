@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the library's host-side hot paths:
-// the coalescer, the lane-to-warp hand-off, the L2 sector cache, and whole
-// ensemble launches (the CI speed gate).
+// the coalescer, the lane-to-warp hand-off, the L2 sector cache, the DRAM
+// charge, the engine heap, and whole ensemble launches (the CI speed gate).
 // These measure the SIMULATOR's throughput (host nanoseconds), not
 // simulated GPU cycles.
 #include <benchmark/benchmark.h>
@@ -13,6 +13,10 @@
 #include "gpusim/coalesce.h"
 #include "gpusim/ctx.h"
 #include "gpusim/device.h"
+#include "gpusim/engine.h"
+#include "gpusim/launch_context.h"
+#include "gpusim/memsys.h"
+#include "gpusim/warp.h"
 #include "support/rng.h"
 #include "support/str.h"
 
@@ -105,6 +109,77 @@ void BM_SectorCacheAccess(benchmark::State& state) {
   state.counters["sets"] = l2.sets();
 }
 BENCHMARK(BM_SectorCacheAccess);
+
+/// The DRAM layer of MemorySystem::Access at the a100/512 shape: every
+/// group is 8 runs of 4 sectors at fresh, ascending random rows, so each
+/// sector misses L1 and L2 and pays the channel, bank and row-buffer model.
+/// Issue times advance one cycle a group, about the DRAM service time of
+/// its 1 KiB at 1,100 B/cycle, so the channel queues stay short but busy
+/// (`queue_cycles`: DRAM queue charge per group). `sector` is host time
+/// per sector.
+void BM_MemsysDramCharge(benchmark::State& state) {
+  constexpr std::uint64_t kRuns = 8, kRunSectors = 4;
+  const sim::DeviceSpec spec = sim::DeviceSpec::A100_40GB(512);
+  sim::MemorySystem memsys(spec);
+  sim::LaunchStats stats;
+  Rng rng(13);
+  std::vector<std::uint64_t> sectors(kRuns * kRunSectors);
+  std::uint64_t next_sector = 0x10000, now = 0;
+  int sm = 0;
+  for (auto _ : state) {
+    for (std::uint64_t r = 0; r < kRuns; ++r) {
+      next_sector += kRunSectors + rng.NextBounded(1024);
+      for (std::uint64_t i = 0; i < kRunSectors; ++i) {
+        sectors[r * kRunSectors + i] = next_sector + i;
+      }
+    }
+    benchmark::DoNotOptimize(
+        memsys.Access(sm, sectors, /*is_store=*/false, now, stats));
+    sm = (sm + 1) % spec.num_sms;
+    now += 1;
+  }
+  if (stats.l2_hits != 0 || stats.l1_hits != 0) {
+    state.SkipWithError("a sector hit a cache");
+  }
+  state.counters["sector"] = benchmark::Counter(
+      double(kRuns * kRunSectors),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.counters["queue_cycles"] =
+      benchmark::Counter(double(stats.dram_queue_cycles),
+                         benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_MemsysDramCharge);
+
+/// The engine heap: `range(0)` lane-less warps (their turns resume and
+/// issue nothing, so host time is Schedule and RunOne) are scheduled at
+/// seeded random times within 10,000 cycles and drained, every iteration.
+/// `event` is host time per scheduled-and-dispatched wake.
+void BM_EngineHeap(benchmark::State& state) {
+  const std::uint32_t warps = std::uint32_t(state.range(0));
+  const sim::DeviceSpec spec = sim::DeviceSpec::TestDevice();
+  sim::MemorySystem memsys(spec);
+  const sim::LaunchConfig cfg;
+  const sim::KernelFn kernel;
+  sim::LaunchContext lc(spec, memsys, cfg, kernel);
+  std::vector<std::unique_ptr<sim::Warp>> pool;
+  for (std::uint32_t w = 0; w < warps; ++w) {
+    pool.push_back(std::make_unique<sim::Warp>(nullptr, w,
+                                               std::span<sim::Lane>(), &lc));
+  }
+  Rng rng(17);
+  for (auto _ : state) {
+    const std::uint64_t now = lc.engine.now();
+    for (auto& warp : pool) {
+      lc.engine.Schedule(now + rng.NextBounded(10000), warp.get());
+    }
+    while (lc.engine.RunOne()) {
+    }
+  }
+  state.counters["event"] = benchmark::Counter(
+      double(warps),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineHeap)->Arg(1024)->Arg(4096);
 
 /// The hot-path speed gate: one full XSBench ensemble launch at fig6a
 /// scale-down, parameterized by instance count. This is the benchmark the

@@ -128,15 +128,17 @@ struct SyncAwaiter {
 /// (CSR rows, gathers); keep dependent chains (binary search, pointer
 /// chasing) on scalar Load — that latency is real.
 ///
-/// N is storage only: the slots live inline in the awaiter, i.e. in the
-/// frame of the coroutine that declares it, and every simulated lane keeps
-/// that frame alive (16 B per gather slot, 24 B per scatter slot). A batch
-/// with a fixed bound should say so (`Gather<double, 3>()`,
-/// `LoadRun<4>(p, 4)`); the warp sees only the filled count, so N never
-/// changes timing or stats. The empty user-provided constructor leaves the
-/// slots uninitialized (even under `return {}`), so constructing a batch
-/// writes only `count`, never N slots; Add fills [0, count), the only slots
-/// anything reads.
+/// N is storage only: a batch awaiter lives in the frame of the coroutine
+/// that declares it, and every simulated lane keeps that frame alive. A
+/// gather (GatherAwaiter) keeps a 16-byte slot per element and a scatter a
+/// 24-byte one; a run (RunAwaiter, from LoadRun) keeps only its start and
+/// its results, packed at sizeof(T) each. A batch with a fixed bound should
+/// say so (`Gather<double, 3>()`, `LoadRun<4>(p, 4)`); the warp sees only
+/// the filled count, so N never changes timing or stats. Constructing a
+/// batch writes only its header, never its N slots or results (the gather's
+/// and scatter's empty user-provided constructors keep them uninitialized
+/// even under `return {}`); issue fills [0, count), the only part anything
+/// reads.
 inline constexpr std::uint32_t kMaxGather = 96;
 
 template <typename T, std::uint32_t N = kMaxGather>
@@ -164,6 +166,7 @@ struct GatherAwaiter {
     DGC_CHECK(!issued);
     DeviceOp& op = ParkOp(h, DeviceOp::Kind::kLoadBatch);
     op.bytes = sizeof(T);
+    op.run = false;
     op.batch_count = count;
     op.batch = slots;
   }
@@ -177,6 +180,47 @@ struct GatherAwaiter {
     DGC_CHECK(issued);
     DGC_CHECK(i < count);
     return FromBits<T>(slots[i].result);
+  }
+};
+
+/// A run of `count` consecutive elements from `base` (ThreadCtx::LoadRun):
+/// a gather whose addresses follow from its start, so it stores only its
+/// results, packed. It parks as kLoadBatch with DeviceOp::run set, so its
+/// lanes issue in one group with gathering lanes, and the warp charges it
+/// as the gather of its elements (warp.cpp, IssueBatchGroup).
+template <typename T, std::uint32_t N = kMaxGather>
+struct RunAwaiter {
+  static_assert(sizeof(T) <= 8 && std::is_trivially_copyable_v<T>);
+  static_assert(1 <= N && N <= kMaxGather);
+
+  DevicePtr<T> base;
+  std::uint32_t count;
+  bool issued = false;  ///< set on resume; co_await/Result check it
+  T results[N];
+
+  RunAwaiter(DevicePtr<T> p, std::uint32_t n) : base(p), count(n) {}
+
+  bool await_ready() const noexcept { return count == 0; }
+  void await_suspend(std::coroutine_handle<> h) {
+    DGC_CHECK(!issued);
+    DeviceOp& op = ParkOp(h, DeviceOp::Kind::kLoadBatch);
+    op.bytes = sizeof(T);
+    op.run = true;
+    op.batch_count = count;
+    op.addr = base.addr;
+    op.host = base.host;
+    op.run_results = results;
+  }
+  void await_resume() {
+    issued = true;
+    RaisePendingTrap();
+  }
+
+  /// The i-th loaded value (i < count), valid after the co_await completes.
+  T Result(std::uint32_t i) const {
+    DGC_CHECK(issued);
+    DGC_CHECK(i < count);
+    return results[i];
   }
 };
 
@@ -235,6 +279,8 @@ static_assert(std::is_trivially_destructible_v<GatherAwaiter<double>>);
 static_assert(std::is_trivially_destructible_v<ScatterAwaiter<double>>);
 static_assert(std::is_trivially_destructible_v<GatherAwaiter<double, 1>>);
 static_assert(std::is_trivially_destructible_v<ScatterAwaiter<double, 1>>);
+static_assert(std::is_trivially_destructible_v<RunAwaiter<double>>);
+static_assert(std::is_trivially_destructible_v<RunAwaiter<double, 1>>);
 static_assert(std::is_trivially_destructible_v<StoreAwaiter<double>>);
 static_assert(std::is_trivially_destructible_v<AtomicAwaiter<double>>);
 
@@ -293,15 +339,14 @@ struct ThreadCtx {
     return {};
   }
 
-  /// Gather of `count` consecutive elements starting at `p` (a streaming
-  /// run) into a gather of capacity N; count must be ≤ N.
+  /// Load of `count` consecutive elements starting at `p` (a streaming
+  /// run) of capacity N; count must be ≤ N. Times and reads exactly like a
+  /// Gather of p, p + 1, ..., p + count - 1, with results packed.
   template <std::uint32_t N = detail::kMaxGather, typename T>
-  detail::GatherAwaiter<T, N> LoadRun(DevicePtr<T> p,
-                                      std::uint32_t count) const {
+  detail::RunAwaiter<T, N> LoadRun(DevicePtr<T> p,
+                                   std::uint32_t count) const {
     DGC_CHECK(count <= N);
-    detail::GatherAwaiter<T, N> g;
-    for (std::uint32_t i = 0; i < count; ++i) g.Add(p + i);
-    return g;
+    return detail::RunAwaiter<T, N>(p, count);
   }
 
   /// Empty scatter of capacity N (pipelined independent stores) to fill

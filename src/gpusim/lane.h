@@ -41,8 +41,9 @@ T FromBits(std::uint64_t b) {
   return v;
 }
 
-/// One element of a batched (pipelined) load — see ThreadCtx::Gather. Issue
+/// One element of a gather (pipelined load) — see ThreadCtx::Gather. Issue
 /// overwrites `host` with the loaded value; the width is in DeviceOp::bytes.
+/// A LoadRun needs no slots: its addresses follow from its start.
 /// No member initializers: an awaiter's unfilled slots stay uninitialized
 /// and only slots [0, count) are ever written or read.
 struct BatchSlot {
@@ -81,9 +82,10 @@ struct DeviceOp {
 
   Kind kind = Kind::kNone;
   std::uint8_t bytes = 0;         ///< memory kinds (per element for batches)
+  bool run = false;               ///< load batch: a LoadRun, not a gather
   std::uint32_t batch_count = 0;  ///< batch kinds
-  DeviceAddr addr = 0;            ///< load / store / atomic
-  void* host = nullptr;           ///< load / store / atomic
+  DeviceAddr addr = 0;            ///< load / store / atomic; a run's start
+  void* host = nullptr;           ///< load / store / atomic; a run's start
   union {
     std::uint64_t bits = 0;  ///< store value / atomic operand
     std::uint64_t cycles;    ///< work duration or external latency
@@ -93,7 +95,8 @@ struct DeviceOp {
     std::uint64_t (*apply)(void* host, std::uint64_t operand) = nullptr;
     Barrier* barrier;                          ///< sync
     std::function<std::uint64_t()>* external;  ///< external (RPC)
-    BatchSlot* batch;  ///< load batch: awaiter-owned, stable while parked
+    BatchSlot* batch;  ///< gather: awaiter-owned, stable while parked
+    void* run_results;       ///< run: packed results, likewise
     StoreSlot* store_batch;  ///< store batch: likewise
   };
 };

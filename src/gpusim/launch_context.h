@@ -16,6 +16,7 @@
 #include "gpusim/memsys.h"
 #include "gpusim/sm.h"
 #include "gpusim/stats.h"
+#include "gpusim/warp.h"
 
 namespace dgc::sim {
 
@@ -78,6 +79,8 @@ struct LaunchContext {
   LaunchOutcome outcome = LaunchOutcome::kCompleted;
   std::vector<std::string> failures;
   std::uint64_t failure_count = 0;
+  /// The warp issue path's buffers, shared by every warp of the launch.
+  IssueScratch issue_scratch;
 
  private:
   void TrySchedule(std::uint64_t now);

@@ -131,13 +131,14 @@ void Warp::ResumePhase(std::uint64_t now) {
   }
 }
 
-DeviceOp::Kind Warp::SelectIssueGroup(std::size_t& remaining) {
+DeviceOp::Kind Warp::SelectIssueGroup(IssueScratch& scratch,
+                                      std::size_t& remaining) {
   // The first un-issued lane (in lane order) defines the group: all
   // remaining lanes whose pending op matches its kind (and barrier /
   // address space) issue together. A DeviceOp holds stale fields of other
   // kinds, so `barrier` is read only for kSync and `addr` only for the
   // scalar memory kinds (batches are global-only, one space).
-  const DeviceOp& lead = pending_lanes_.front()->pending;
+  const DeviceOp& lead = scratch.pending_lanes.front()->pending;
   const DeviceOp::Kind kind = lead.kind;
   Barrier* const barrier =
       kind == DeviceOp::Kind::kSync ? lead.barrier : nullptr;
@@ -145,18 +146,18 @@ DeviceOp::Kind Warp::SelectIssueGroup(std::size_t& remaining) {
                           kind == DeviceOp::Kind::kStore ||
                           kind == DeviceOp::Kind::kAtomic;
   const bool shared_space = scalar_mem && IsSharedAddr(lead.addr);
-  group_.clear();
+  scratch.group.clear();
   std::size_t keep = 0;
   for (std::size_t i = 0; i < remaining; ++i) {
-    Lane* lane = pending_lanes_[i];
+    Lane* lane = scratch.pending_lanes[i];
     const bool match =
         lane->pending.kind == kind &&
         (kind != DeviceOp::Kind::kSync || lane->pending.barrier == barrier) &&
         (!scalar_mem || IsSharedAddr(lane->pending.addr) == shared_space);
     if (match) {
-      group_.push_back(lane);
+      scratch.group.push_back(lane);
     } else {
-      pending_lanes_[keep++] = lane;
+      scratch.pending_lanes[keep++] = lane;
     }
   }
   remaining = keep;
@@ -179,15 +180,17 @@ std::uint64_t Warp::ProcessPhase(std::uint64_t now) {
   // scans only the not-yet-issued remainder, compacting in place — the
   // repeated full-warp rescans this replaces were the scheduler's main
   // per-turn cost.
-  pending_lanes_.clear();
+  IssueScratch& scratch = lc_->issue_scratch;
+  std::vector<Lane*>& group = scratch.group;
+  scratch.pending_lanes.clear();
   for (Lane& lane : lanes_) {
     if (lane.state != Lane::State::kReady) continue;
     if (lane.pending.kind == DeviceOp::Kind::kNone) continue;
-    pending_lanes_.push_back(&lane);
+    scratch.pending_lanes.push_back(&lane);
   }
-  std::size_t remaining = pending_lanes_.size();
+  std::size_t remaining = scratch.pending_lanes.size();
   while (remaining != 0) {
-    const DeviceOp::Kind kind = SelectIssueGroup(remaining);
+    const DeviceOp::Kind kind = SelectIssueGroup(scratch, remaining);
     ++groups;
     // One stats sink per issue group, the leading lane's instance. Lanes of
     // a group share an op, and usually a team row, hence an instance. Not
@@ -196,40 +199,40 @@ std::uint64_t Warp::ProcessPhase(std::uint64_t now) {
     // the leading lane's instance (docs/MODEL.md, "Per-instance
     // attribution").
     LaunchStats& gstats =
-        lc_->IssueStats(block_->id(), group_.front()->thread_id);
+        lc_->IssueStats(block_->id(), group.front()->thread_id);
     ++gstats.warp_instructions;
 
     std::uint64_t t_end = issue;
     switch (kind) {
       case DeviceOp::Kind::kWork:
         ++gstats.compute_instructions;
-        t_end = IssueWorkGroup(group_, issue, gstats);
+        t_end = IssueWorkGroup(group, issue, gstats);
         break;
       case DeviceOp::Kind::kLoad:
         ++gstats.load_instructions;
-        t_end = IssueMemoryGroup(group_, /*is_store=*/false, issue, gstats);
+        t_end = IssueMemoryGroup(group, /*is_store=*/false, issue, gstats);
         break;
       case DeviceOp::Kind::kLoadBatch:
         ++gstats.load_instructions;
-        t_end = IssueBatchGroup(group_, issue, /*is_store=*/false, gstats);
+        t_end = IssueBatchGroup(group, issue, /*is_store=*/false, gstats);
         break;
       case DeviceOp::Kind::kStoreBatch:
         ++gstats.store_instructions;
-        t_end = IssueBatchGroup(group_, issue, /*is_store=*/true, gstats);
+        t_end = IssueBatchGroup(group, issue, /*is_store=*/true, gstats);
         break;
       case DeviceOp::Kind::kStore:
         ++gstats.store_instructions;
-        t_end = IssueMemoryGroup(group_, /*is_store=*/true, issue, gstats);
+        t_end = IssueMemoryGroup(group, /*is_store=*/true, issue, gstats);
         break;
       case DeviceOp::Kind::kAtomic:
         ++gstats.atomic_instructions;
-        t_end = IssueAtomicGroup(group_, issue, gstats);
+        t_end = IssueAtomicGroup(group, issue, gstats);
         break;
       case DeviceOp::Kind::kExternal:
-        t_end = IssueExternalGroup(group_, issue, gstats);
+        t_end = IssueExternalGroup(group, issue, gstats);
         break;
       case DeviceOp::Kind::kSync:
-        IssueSyncGroup(group_, issue);
+        IssueSyncGroup(group, issue);
         issue += kIssueCycles;
         continue;  // lanes are blocked; no completion time to propagate
       case DeviceOp::Kind::kNone:
@@ -245,12 +248,12 @@ std::uint64_t Warp::ProcessPhase(std::uint64_t now) {
                           kind == DeviceOp::Kind::kStoreBatch;
       lc_->config.trace->Record({block_->id(), warp_id_, block_->sm()->id(),
                                  kind, issue, t_end,
-                                 std::uint32_t(group_.size()),
-                                 is_mem ? std::uint32_t(sectors_.size()) : 0});
+                                 std::uint32_t(group.size()),
+                                 is_mem ? last_sectors_ : 0});
     }
-    for (Lane* lane : group_) {
+    for (Lane* lane : group) {
       lane->pending.kind = DeviceOp::Kind::kNone;
-      processed_.push_back(lane);
+      scratch.processed.push_back(lane);
     }
     t = std::max(t, t_end);
     issue += kIssueCycles;
@@ -265,10 +268,10 @@ std::uint64_t Warp::ProcessPhase(std::uint64_t now) {
   // latency variance between groups staggers the lanes permanently,
   // fragmenting every later turn into ever smaller issue groups — real
   // warps are lockstep and do not do that.
-  for (Lane* lane : processed_) {
+  for (Lane* lane : scratch.processed) {
     if (lane->state == Lane::State::kReady) lane->ready_at = t;
   }
-  processed_.clear();
+  scratch.processed.clear();
   return t;
 }
 
@@ -276,12 +279,13 @@ std::uint64_t Warp::IssueMemoryGroup(std::span<Lane*> group, bool is_store,
                                      std::uint64_t t, LaunchStats& stats) {
   const bool shared_space = IsSharedAddr(group.front()->pending.addr);
   Memcheck* const memcheck = lc_->config.memcheck;
+  IssueScratch& scratch = lc_->issue_scratch;
 
   // Single pass: functional effect at issue time (in lane order — the
   // sanitizer vetoes accesses without live backing storage; the timing
   // charge still applies) fused with the timing-input gather.
-  accesses_.clear();
-  shared_addrs_.clear();
+  scratch.accesses.clear();
+  scratch.shared_addrs.clear();
   std::uint64_t total_bytes = 0;
   for (Lane* lane : group) {
     DeviceOp& op = lane->pending;
@@ -294,36 +298,77 @@ std::uint64_t Warp::IssueMemoryGroup(std::span<Lane*> group, bool is_store,
       lane->pending_result = allowed ? ReadBits(op.host, op.bytes) : 0;
     }
     if (shared_space) {
-      shared_addrs_.push_back(op.addr - kSharedBase);
+      scratch.shared_addrs.push_back(op.addr - kSharedBase);
     } else {
-      accesses_.push_back({op.addr, op.bytes});
+      scratch.accesses.push_back({op.addr, op.bytes});
       total_bytes += op.bytes;
     }
   }
 
   if (shared_space) {
-    return lc_->memsys.AccessShared(shared_addrs_, t, stats);
+    return lc_->memsys.AccessShared(scratch.shared_addrs, t, stats);
   }
+  return IssueGlobal(total_bytes, is_store, t, stats);
+}
 
-  CoalesceSectors(accesses_, lc_->spec.sector_bytes, sectors_);
-  stats.global_sectors += sectors_.size();
+std::uint64_t Warp::IssueGlobal(std::uint64_t total_bytes, bool is_store,
+                                std::uint64_t t, LaunchStats& stats) {
+  IssueScratch& scratch = lc_->issue_scratch;
+  CoalesceSectors(scratch.accesses, lc_->spec.sector_bytes, scratch.sectors);
+  last_sectors_ = std::uint32_t(scratch.sectors.size());
+  stats.global_sectors += scratch.sectors.size();
   stats.ideal_sectors +=
       IdealSectorCountForBytes(total_bytes, lc_->spec.sector_bytes);
-  return lc_->memsys.Access(block_->sm()->id(), sectors_, is_store, t, stats);
+  return lc_->memsys.Access(block_->sm()->id(), scratch.sectors, is_store, t,
+                            stats);
+}
+
+void Warp::ReadRun(Lane& lane) {
+  const DeviceOp& op = lane.pending;
+  const std::size_t bytes = op.bytes;
+  DGC_CHECK_MSG(!IsSharedAddr(op.addr + (op.batch_count - 1) * bytes),
+                "LoadRun targets global memory only");
+  auto* out = static_cast<unsigned char*>(op.run_results);
+  const auto* in = static_cast<const unsigned char*>(op.host);
+  Memcheck* const memcheck = lc_->config.memcheck;
+  if (memcheck == nullptr) {
+    std::memcpy(out, in, bytes * op.batch_count);
+    return;
+  }
+  // Element by element, in element order: the same checks, findings and
+  // vetoed zeros as the gather of the run's elements.
+  for (std::uint32_t i = 0; i < op.batch_count; ++i) {
+    const std::size_t at = i * bytes;
+    if (memcheck->CheckAccess(lane, op.kind, op.addr + at, op.bytes,
+                              /*is_write=*/false)) {
+      std::memcpy(out + at, in + at, bytes);
+    } else {
+      std::memset(out + at, 0, bytes);
+    }
+  }
 }
 
 std::uint64_t Warp::IssueBatchGroup(std::span<Lane*> group, std::uint64_t t,
                                     bool is_store, LaunchStats& stats) {
-  // Pipelined independent loads/stores: every slot of every lane coalesces
-  // into one stream of sectors that pays bandwidth-serialized service but
-  // only one latency trip — the scoreboarded-MLP behaviour of streaming
-  // code.
+  // Pipelined independent loads/stores: every element of every lane
+  // coalesces into one stream of sectors that pays bandwidth-serialized
+  // service but only one latency trip — the scoreboarded-MLP behaviour of
+  // streaming code. A run enters the coalescer as one access spanning its
+  // elements: sectors are the union of the bytes touched (coalesce.h), so
+  // that is the charge of one access per element.
   Memcheck* const memcheck = lc_->config.memcheck;
-  accesses_.clear();
+  std::vector<LaneAccess>& accesses = lc_->issue_scratch.accesses;
+  accesses.clear();
   std::uint64_t total_bytes = 0;
   for (Lane* lane : group) {
     const DeviceOp& op = lane->pending;
     const std::uint8_t bytes = op.bytes;  // uniform over the batch
+    total_bytes += std::uint64_t(bytes) * op.batch_count;
+    if (!is_store && op.run) {
+      ReadRun(*lane);
+      accesses.push_back({op.addr, std::uint32_t(bytes) * op.batch_count});
+      continue;
+    }
     for (std::uint32_t i = 0; i < op.batch_count; ++i) {
       const DeviceAddr addr =
           is_store ? op.store_batch[i].addr : op.batch[i].addr;
@@ -339,25 +384,21 @@ std::uint64_t Warp::IssueBatchGroup(std::span<Lane*> group, std::uint64_t t,
         BatchSlot& slot = op.batch[i];  // its host pointer becomes its value
         slot.result = allowed ? ReadBits(slot.host, bytes) : 0;
       }
-      accesses_.push_back({addr, bytes});
+      accesses.push_back({addr, bytes});
     }
-    total_bytes += std::uint64_t(bytes) * op.batch_count;
   }
-  CoalesceSectors(accesses_, lc_->spec.sector_bytes, sectors_);
-  stats.global_sectors += sectors_.size();
-  stats.ideal_sectors +=
-      IdealSectorCountForBytes(total_bytes, lc_->spec.sector_bytes);
-  return lc_->memsys.Access(block_->sm()->id(), sectors_, is_store, t, stats);
+  return IssueGlobal(total_bytes, is_store, t, stats);
 }
 
 std::uint64_t Warp::IssueAtomicGroup(std::span<Lane*> group, std::uint64_t t,
                                      LaunchStats& stats) {
   Memcheck* const memcheck = lc_->config.memcheck;
+  IssueScratch& scratch = lc_->issue_scratch;
   const bool shared_space = IsSharedAddr(group.front()->pending.addr);
   // Functional read-modify-write in lane order (deterministic), fused with
   // the timing-input gather.
-  accesses_.clear();
-  shared_addrs_.clear();
+  scratch.accesses.clear();
+  scratch.shared_addrs.clear();
   std::uint64_t total_bytes = 0;
   for (Lane* lane : group) {
     DeviceOp& op = lane->pending;
@@ -367,23 +408,15 @@ std::uint64_t Warp::IssueAtomicGroup(std::span<Lane*> group, std::uint64_t t,
                               /*is_write=*/true);
     lane->pending_result = allowed ? op.apply(op.host, op.bits) : 0;
     if (shared_space) {
-      shared_addrs_.push_back(op.addr - kSharedBase);
+      scratch.shared_addrs.push_back(op.addr - kSharedBase);
     } else {
-      accesses_.push_back({op.addr, op.bytes});
+      scratch.accesses.push_back({op.addr, op.bytes});
       total_bytes += op.bytes;
     }
   }
-  std::uint64_t t_end;
-  if (shared_space) {
-    t_end = lc_->memsys.AccessShared(shared_addrs_, t, stats);
-  } else {
-    CoalesceSectors(accesses_, lc_->spec.sector_bytes, sectors_);
-    stats.global_sectors += sectors_.size();
-    stats.ideal_sectors +=
-        IdealSectorCountForBytes(total_bytes, lc_->spec.sector_bytes);
-    t_end = lc_->memsys.Access(block_->sm()->id(), sectors_, /*is_store=*/true,
-                               t, stats);
-  }
+  const std::uint64_t t_end =
+      shared_space ? lc_->memsys.AccessShared(scratch.shared_addrs, t, stats)
+                   : IssueGlobal(total_bytes, /*is_store=*/true, t, stats);
   // Lanes updating memory atomically serialize on the atomic unit.
   return t_end + std::uint64_t(lc_->spec.atomic_serialization_cycles) *
                      (group.size() - 1);

@@ -22,6 +22,21 @@ class Engine;
 struct LaunchContext;
 struct LaunchStats;
 
+/// Scratch buffers of the warp issue path, one set per launch
+/// (LaunchContext::issue_scratch). A launch turns one warp at a time and
+/// every issue helper finishes inside its turn, so one set serves every
+/// warp; each buffer keeps the capacity of the widest group issued so far,
+/// so turns allocate nothing once it is reached. A set per warp would grow
+/// to that width in each of the launch's warps and be held until teardown.
+struct IssueScratch {
+  std::vector<Lane*> group;
+  std::vector<Lane*> pending_lanes;  ///< not-yet-issued candidates, lane order
+  std::vector<Lane*> processed;
+  std::vector<std::uint64_t> sectors;
+  std::vector<LaneAccess> accesses;
+  std::vector<std::uint64_t> shared_addrs;
+};
+
 class Warp {
  public:
   Warp(Block* block, std::uint32_t warp_id, std::span<Lane> lanes,
@@ -50,9 +65,10 @@ class Warp {
  private:
   /// Resumes runnable lanes to their next suspension; records terminations.
   void ResumePhase(std::uint64_t now);
-  /// Selects the next issue group from pending_lanes_[0..remaining) into
-  /// group_, compacting the rest in place.
-  DeviceOp::Kind SelectIssueGroup(std::size_t& remaining);
+  /// Selects the next issue group from scratch.pending_lanes[0..remaining)
+  /// into scratch.group, compacting the rest in place.
+  DeviceOp::Kind SelectIssueGroup(IssueScratch& scratch,
+                                  std::size_t& remaining);
   /// Issues all pending op groups in program order; returns the final time.
   std::uint64_t ProcessPhase(std::uint64_t now);
 
@@ -63,6 +79,12 @@ class Warp {
                                  std::uint64_t t, LaunchStats& stats);
   std::uint64_t IssueBatchGroup(std::span<Lane*> group, std::uint64_t t,
                                 bool is_store, LaunchStats& stats);
+  /// Functional read of `lane`'s pending run into its packed results.
+  void ReadRun(Lane& lane);
+  /// Coalesces issue_scratch.accesses and charges the sectors to the
+  /// memory hierarchy; `total_bytes` is what the accesses request.
+  std::uint64_t IssueGlobal(std::uint64_t total_bytes, bool is_store,
+                            std::uint64_t t, LaunchStats& stats);
   std::uint64_t IssueAtomicGroup(std::span<Lane*> group, std::uint64_t t,
                                  LaunchStats& stats);
   std::uint64_t IssueWorkGroup(std::span<Lane*> group, std::uint64_t t,
@@ -73,19 +95,12 @@ class Warp {
 
   Block* block_;
   std::uint32_t warp_id_;
+  /// Unique sectors of the warp's latest global memory group: the sector
+  /// count its memory trace events report. A shared-memory group touches
+  /// no sectors but repeats this count, as the trace goldens pin.
+  std::uint32_t last_sectors_ = 0;
   std::span<Lane> lanes_;
-  LaunchContext* lc_;
-
-  // Scratch buffers reused across turns (no per-turn allocation). The
-  // issue helpers run to completion inside one turn, so one buffer of each
-  // shape serves every group.
-  std::vector<Lane*> group_;
-  std::vector<Lane*> pending_lanes_;  ///< not-yet-issued candidates, lane order
-  std::vector<Lane*> processed_;
-  std::vector<std::uint64_t> sectors_;
-  std::vector<LaneAccess> accesses_;
-  std::vector<std::uint64_t> shared_addrs_;
-
+  LaunchContext* lc_;  ///< also owns the issue scratch (IssueScratch)
   std::uint64_t queued_wake_ = kNoQueuedWake;
 };
 

@@ -8,6 +8,9 @@
 #include "gpusim/block.h"
 #include "gpusim/ctx.h"
 #include "gpusim/device.h"
+#include "gpusim/memcheck.h"
+#include "gpusim/trace.h"
+#include "gpusim/warp.h"
 
 namespace dgc::sim {
 namespace {
@@ -149,7 +152,8 @@ TEST(Gather, SizedCapacityIsStorageOnly) {
 struct FillRun {
   LaunchResult result;
   std::vector<double> out;
-  bool slots_untouched = true;  ///< Gather()/Scatter() left the fill alone
+  /// Gather()/LoadRun()/Scatter() and the run's issue left the fill alone.
+  bool slots_untouched = true;
 };
 
 /// The batches of RunBatchesWithCapacity, but each lane fills 1..kPer
@@ -157,6 +161,7 @@ struct FillRun {
 /// with `fill`, so every batch leaves most of its slots unfilled.
 FillRun RunBatchesOverFill(unsigned char fill) {
   using G = detail::GatherAwaiter<double>;
+  using R = detail::RunAwaiter<double>;
   using S = detail::ScatterAwaiter<double>;
   auto dev = MakeDevice();
   const std::uint32_t n = 2 * 64 * kPer;
@@ -165,15 +170,14 @@ FillRun RunBatchesOverFill(unsigned char fill) {
   auto pi = in.Typed<double>(), po = out.Typed<double>();
   for (std::uint32_t i = 0; i < n; ++i) pi[i] = 0.5 * i;
   FillRun run;
-  // True when the bytes of the last of kMaxGather slots of `slot_bytes`
-  // each still hold the fill.
-  const auto untouched = [fill](const std::uint64_t* words,
-                                std::size_t slot_bytes) {
-    const auto* mem = reinterpret_cast<const unsigned char*>(words);
-    const std::size_t last = slot_bytes * (detail::kMaxGather - 1);
-    return std::all_of(mem + last, mem + last + slot_bytes,
+  // True when the `bytes` bytes at `last` (an awaiter's last slot or
+  // result) still hold the fill.
+  const auto untouched = [fill](const void* last, std::size_t bytes) {
+    const auto* mem = static_cast<const unsigned char*>(last);
+    return std::all_of(mem, mem + bytes,
                        [fill](unsigned char b) { return b == fill; });
   };
+  constexpr std::uint32_t kLast = detail::kMaxGather - 1;
   LaunchConfig cfg{.grid = {2, 1, 1}, .block = {64, 1, 1}};
   auto result = dev->Launch(cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
     const std::uint32_t gid =
@@ -182,21 +186,31 @@ FillRun RunBatchesOverFill(unsigned char fill) {
     const std::uint32_t base = (gid * 7) % (n / kPer) * kPer;
     // Word arrays, not alignas char arrays: coroutine frames do not honour
     // alignas on locals with every compiler.
-    static_assert(alignof(G) <= 8 && alignof(S) <= 8);
+    static_assert(alignof(G) <= 8 && alignof(R) <= 8 && alignof(S) <= 8);
     std::uint64_t g_mem[sizeof(G) / 8];
-    std::uint64_t r_mem[sizeof(G) / 8];
+    std::uint64_t r_mem[sizeof(R) / 8];
     std::uint64_t s_mem[sizeof(S) / 8];
     std::memset(g_mem, fill, sizeof(g_mem));
     std::memset(r_mem, fill, sizeof(r_mem));
     std::memset(s_mem, fill, sizeof(s_mem));
     G& g = *::new (g_mem) G(ctx.Gather<double>());
-    if (!untouched(g_mem, sizeof(BatchSlot))) run.slots_untouched = false;
+    if (!untouched(&g.slots[kLast], sizeof(BatchSlot))) {
+      run.slots_untouched = false;
+    }
     for (std::uint32_t j = 0; j < per; ++j) g.Add(pi + (base + j));
     co_await g;
-    G& r = *::new (r_mem) G(ctx.LoadRun(pi + gid * kPer, per));
+    R& r = *::new (r_mem) R(ctx.LoadRun(pi + gid * kPer, per));
+    if (!untouched(&r.results[kLast], sizeof(double))) {
+      run.slots_untouched = false;
+    }
     co_await r;
+    if (!untouched(&r.results[kLast], sizeof(double))) {
+      run.slots_untouched = false;
+    }
     S& s = *::new (s_mem) S(ctx.Scatter<double>());
-    if (!untouched(s_mem, sizeof(StoreSlot))) run.slots_untouched = false;
+    if (!untouched(&s.slots[kLast], sizeof(StoreSlot))) {
+      run.slots_untouched = false;
+    }
     for (std::uint32_t j = 0; j < per; ++j) {
       s.Add(po + (gid * kPer + j), g.Result(j) + r.Result(j));
     }
@@ -346,6 +360,164 @@ TEST(Gather, WarpLanesCoalesceAcrossBatches) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.global_sectors, 16u);          // 512B / 32B
   EXPECT_EQ(result->stats.load_instructions, 1u);        // one warp instr
+}
+
+// A run stores only its start and its packed results; Warp holds no
+// issue scratch (the launch owns one set, IssueScratch). Both bounds keep
+// the host memory per simulated lane and per warp from growing back.
+static_assert(sizeof(detail::RunAwaiter<double, 78>) <= 78 * 8 + 32);
+static_assert(sizeof(detail::RunAwaiter<std::int32_t, 78>) <= 78 * 4 + 32);
+static_assert(sizeof(Warp) <= 48);
+
+struct BatchRun {
+  LaunchResult result;
+  std::string trace;
+  std::string memcheck;  ///< the memcheck report, when attached
+  std::vector<double> sums;
+};
+
+constexpr std::uint32_t kRunIn = 700;  ///< elements of each input buffer
+constexpr std::uint32_t kRunLanes = 128;
+
+/// Four warps whose lanes each load a run of doubles and a run of int32
+/// of varying length and start, and sum their products. `kRuns` loads
+/// through LoadRun, otherwise through a Gather filled with Add(p + i). With
+/// memcheck the last four lanes' runs cross the end of the doubles, which
+/// are allocated last: elements in the allocator's 256-byte rounding are
+/// flagged and read, those past it are flagged and read 0. The host side
+/// of every element, past the ends too, is a vector of known values.
+template <bool kRuns>
+BatchRun LoadRunsOrGathers(bool memcheck_on) {
+  auto dev = MakeDevice();
+  Memcheck memcheck;
+  if (memcheck_on) memcheck.Attach(dev->memory());
+  auto ints = *dev->Malloc(kRunIn * sizeof(std::int32_t));
+  auto in = *dev->Malloc(kRunIn * sizeof(double));
+  std::vector<double> host_d(kRunIn + 16);
+  std::vector<std::int32_t> host_n(kRunIn + 16);
+  for (std::uint32_t i = 0; i < host_d.size(); ++i) {
+    host_d[i] = 0.25 * i;
+    host_n[i] = std::int32_t(3 * i) - 5;
+  }
+  const DevicePtr<double> pi{in.addr, host_d.data()};
+  const DevicePtr<std::int32_t> pn{ints.addr, host_n.data()};
+  const std::uint32_t limit = memcheck_on ? kRunIn + 12 : kRunIn;
+  BatchRun run;
+  run.sums.assign(kRunLanes, -1.0);
+  Trace trace;
+  LaunchConfig cfg{.grid = {2, 1, 1}, .block = {64, 1, 1}};
+  cfg.trace = &trace;
+  cfg.memcheck = memcheck_on ? &memcheck : nullptr;
+  auto result = dev->Launch(cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
+    const std::uint32_t gid =
+        ctx.block_id * ctx.block_threads + ctx.thread_id;
+    const std::uint32_t n = (gid * 7) % 23;  // 0..22 elements
+    const std::uint32_t start =
+        gid >= kRunLanes - 4 ? limit - n : (gid * 37) % (kRunIn - 22);
+    double sum = 0;
+    if constexpr (kRuns) {
+      auto d = ctx.LoadRun<24>(pi + start, n);
+      co_await d;
+      auto k = ctx.LoadRun<24>(pn + start, n);
+      co_await k;
+      for (std::uint32_t j = 0; j < n; ++j) sum += d.Result(j) * k.Result(j);
+    } else {
+      auto d = ctx.Gather<double, 24>();
+      for (std::uint32_t j = 0; j < n; ++j) d.Add(pi + (start + j));
+      co_await d;
+      auto k = ctx.Gather<std::int32_t, 24>();
+      for (std::uint32_t j = 0; j < n; ++j) k.Add(pn + (start + j));
+      co_await k;
+      for (std::uint32_t j = 0; j < n; ++j) sum += d.Result(j) * k.Result(j);
+    }
+    run.sums[gid] = sum;
+    co_await ctx.Work(1);
+  });
+  DGC_CHECK(result.ok());
+  run.result = std::move(*result);
+  run.trace = trace.ToChromeJson();
+  if (memcheck_on) run.memcheck = memcheck.report().ToString();
+  return run;
+}
+
+/// Σ (0.25 i)(3 i - 5) over i in [begin, end): the sum of a lane whose
+/// elements [begin, end) read their values.
+double RunSum(std::uint32_t begin, std::uint32_t end) {
+  double sum = 0;
+  for (std::uint32_t i = begin; i < end; ++i) sum += 0.25 * i * (3.0 * i - 5);
+  return sum;
+}
+
+TEST(Gather, RunsTimeLikeTheirGathers) {
+  // A run is charged as the gather of its elements: same cycles, counters
+  // and trace, and the same values.
+  const BatchRun runs = LoadRunsOrGathers</*kRuns=*/true>(false);
+  const BatchRun gathers = LoadRunsOrGathers</*kRuns=*/false>(false);
+  EXPECT_EQ(runs.result.cycles, gathers.result.cycles);
+  EXPECT_EQ(runs.result.stats.ToString(), gathers.result.stats.ToString());
+  EXPECT_EQ(runs.result.stats, gathers.result.stats);
+  EXPECT_EQ(runs.result.instance_stats, gathers.result.instance_stats);
+  EXPECT_EQ(runs.trace, gathers.trace);
+  EXPECT_EQ(runs.sums, gathers.sums);
+  EXPECT_EQ(runs.result.stats.load_instructions, 8u);  // 2 batches x 4 warps
+  EXPECT_EQ(runs.sums[1], RunSum(37, 44));  // lane 1: 7 elements from 37
+}
+
+TEST(Gather, RunAndGatherLanesIssueAsOneGroup) {
+  // Runs and gathers both park as kLoadBatch: a warp whose even lanes load
+  // a run and odd lanes a gather issues one memory instruction.
+  auto dev = MakeDevice();
+  auto buf = *dev->Malloc(128 * sizeof(double));
+  auto p = buf.Typed<double>();
+  for (int i = 0; i < 128; ++i) p[i] = i;
+  std::vector<double> seen(32);
+  Trace trace;
+  LaunchConfig cfg{.grid = {1, 1, 1}, .block = {32, 1, 1}};
+  cfg.trace = &trace;
+  auto result = dev->Launch(cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
+    const std::uint32_t lane = ctx.thread_id;
+    if (lane % 2 == 0) {
+      auto r = ctx.LoadRun<4>(p + 4 * lane, 4);
+      co_await r;
+      seen[lane] = r.Result(3);
+    } else {
+      auto g = ctx.Gather<double, 4>();
+      for (std::uint32_t j = 0; j < 4; ++j) g.Add(p + (4 * lane + j));
+      co_await g;
+      seen[lane] = g.Result(3);
+    }
+  });
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->stats.load_instructions, 1u);
+  EXPECT_EQ(result->stats.divergent_replays, 0u);
+  EXPECT_EQ(result->stats.global_sectors, 32u);  // 1 KiB / 32 B
+  ASSERT_EQ(trace.events().size(), 1u);
+  EXPECT_EQ(trace.events()[0].lanes, 32u);
+  for (std::uint32_t lane = 0; lane < 32; ++lane) {
+    EXPECT_EQ(seen[lane], 4.0 * lane + 3) << lane;
+  }
+}
+
+TEST(Gather, RunsPastTheEndUnderMemcheckMatchTheirGathers) {
+  // Under memcheck a run checks and reads element by element in element
+  // order: the findings, the vetoed zeros and the in-bounds values are the
+  // equivalent gather's.
+  const BatchRun runs = LoadRunsOrGathers</*kRuns=*/true>(true);
+  const BatchRun gathers = LoadRunsOrGathers</*kRuns=*/false>(true);
+  EXPECT_EQ(runs.memcheck, gathers.memcheck);
+  EXPECT_EQ(runs.result.stats, gathers.result.stats);
+  EXPECT_EQ(runs.trace, gathers.trace);
+  EXPECT_EQ(runs.sums, gathers.sums);
+  EXPECT_EQ(runs.sums[1], RunSum(37, 44));
+  // Lane 127 runs 15 elements from 697: the doubles' 5,632-byte slot ends
+  // at element 704, so 697..703 read their values and 704..711 read 0.
+  EXPECT_EQ(runs.sums[127], RunSum(697, 704));
+  // Flagged: the doubles at 700..711 of lanes 124-127 (12 + 1 + 8 + 12)
+  // and the int32 padding at 700..703 of lanes 124 and 127; ints past 703
+  // lie in the doubles' allocation, so nothing flags them.
+  EXPECT_EQ(runs.result.stats.memcheck_findings, 41u);
+  EXPECT_NE(runs.memcheck.find("out-of-bounds"), std::string::npos)
+      << runs.memcheck;
 }
 
 TEST(Gather, MixedWithComputeAndStoresVerifies) {

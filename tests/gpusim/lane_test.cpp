@@ -17,7 +17,8 @@ static_assert(sizeof(detail::LoadAwaiter<double>) ==
               sizeof(DevicePtr<double>));
 static_assert(sizeof(detail::WorkAwaiter) == sizeof(std::uint64_t));
 static_assert(sizeof(detail::SyncAwaiter) == sizeof(Barrier*));
-// A batch keeps 16 B per gather slot and 24 B per scatter slot.
+// A batch keeps 16 B per gather slot and 24 B per scatter slot (runs:
+// gather_test.cpp).
 static_assert(sizeof(detail::GatherAwaiter<double>) ==
               detail::kMaxGather * sizeof(BatchSlot) + 8);
 static_assert(sizeof(detail::ScatterAwaiter<double>) ==
@@ -116,6 +117,7 @@ TEST(Lane, AwaitersWriteEveryFieldTheirKindReads) {
     const DeviceOp& op = s.Park(g);
     EXPECT_EQ(op.kind, Kind::kLoadBatch);
     EXPECT_EQ(op.bytes, sizeof(double));
+    EXPECT_FALSE(op.run);
     EXPECT_EQ(op.batch, g.slots);
     EXPECT_EQ(op.batch_count, 2u);
   }
@@ -125,7 +127,10 @@ TEST(Lane, AwaitersWriteEveryFieldTheirKindReads) {
     const DeviceOp& op = s.Park(r);
     EXPECT_EQ(op.kind, Kind::kLoadBatch);
     EXPECT_EQ(op.bytes, sizeof(double));
-    EXPECT_EQ(op.batch, r.slots);
+    EXPECT_TRUE(op.run);
+    EXPECT_EQ(op.addr, 0x1000u);
+    EXPECT_EQ(op.host, d_host);
+    EXPECT_EQ(op.run_results, r.results);
     EXPECT_EQ(op.batch_count, 3u);
   }
   {
